@@ -126,11 +126,42 @@ impl Registry {
         serde_json::to_string_pretty(self).expect("registry serialization cannot fail")
     }
 
-    /// Write both renderings into `dir`.
-    pub fn write_to(&self, dir: &Path) -> io::Result<()> {
+    /// Merge these records into the registry already in `dir`, write
+    /// both renderings of the result there, and return it.
+    ///
+    /// A record replaces the one with the same id in place, and every
+    /// other record already there is kept. A new id goes before the
+    /// first kept record that `order` ranks after it (ids absent from
+    /// `order` rank last), so a registry built in `order` stays in it.
+    /// An `experiments.json` that does not parse is an error naming its
+    /// path, and nothing is written.
+    pub fn merge_into(&self, dir: &Path, order: &[&str]) -> io::Result<Registry> {
+        let path = dir.join("experiments.json");
+        let named = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+        let mut merged = match fs::read_to_string(&path) {
+            Ok(text) => serde_json::from_str::<Registry>(&text)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, named(&e)))?,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Registry::new(),
+            Err(e) => return Err(io::Error::new(e.kind(), named(&e))),
+        };
+        let rank = |id: &str| order.iter().position(|o| *o == id).unwrap_or(order.len());
+        for record in &self.records {
+            let records = &mut merged.records;
+            match records.iter().position(|r| r.id == record.id) {
+                Some(i) => records[i] = record.clone(),
+                None => {
+                    let at = records
+                        .iter()
+                        .position(|r| rank(&r.id) > rank(&record.id))
+                        .unwrap_or(records.len());
+                    records.insert(at, record.clone());
+                }
+            }
+        }
         fs::create_dir_all(dir)?;
-        fs::write(dir.join("experiments.md"), self.to_markdown())?;
-        fs::write(dir.join("experiments.json"), self.to_json())
+        fs::write(dir.join("experiments.md"), merged.to_markdown())?;
+        fs::write(&path, merged.to_json())?;
+        Ok(merged)
     }
 
     /// Count per verdict: (reproduced, partial, diverged).
@@ -198,14 +229,71 @@ mod tests {
         assert!(reg.get("nope").is_none());
     }
 
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vfc-exp-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn ids(reg: &Registry) -> Vec<&str> {
+        reg.records.iter().map(|r| r.id.as_str()).collect()
+    }
+
     #[test]
-    fn writes_files() {
-        let dir = std::env::temp_dir().join(format!("vfc-exp-{}", std::process::id()));
+    fn merge_keeps_replaces_and_appends_in_order() {
+        let dir = scratch_dir("merge");
+        let order = ["table2", "fig3", "fig7", "trace"];
+        let mut first = Registry::new();
+        for id in ["fig3", "trace"] {
+            first.add(ExperimentRecord::new(id, "old", "claim").verdict(Verdict::Partial));
+        }
+        assert_eq!(
+            ids(&first.merge_into(&dir, &order).unwrap()),
+            ["fig3", "trace"]
+        );
+
+        let mut rerun = Registry::new();
+        rerun.add(sample()); // fig7: new, ranks between fig3 and trace
+        rerun.add(ExperimentRecord::new("trace", "new", "claim").verdict(Verdict::Reproduced));
+        rerun.add(ExperimentRecord::new("table2", "new", "claim"));
+        rerun.add(ExperimentRecord::new("extra", "new", "claim")); // not in order
+        let merged = rerun.merge_into(&dir, &order).unwrap();
+        assert_eq!(ids(&merged), ["table2", "fig3", "fig7", "trace", "extra"]);
+        assert_eq!(merged.get("fig3").unwrap().title, "old", "kept");
+        let trace = merged.get("trace").unwrap();
+        assert_eq!(
+            (trace.title.as_str(), trace.verdict),
+            ("new", Verdict::Reproduced)
+        );
+
+        let on_disk: Registry =
+            serde_json::from_str(&fs::read_to_string(dir.join("experiments.json")).unwrap())
+                .unwrap();
+        assert_eq!(on_disk.records, merged.records);
+        let md = fs::read_to_string(dir.join("experiments.md")).unwrap();
+        assert!(md.find("## table2").unwrap() < md.find("## trace").unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_refuses_a_corrupt_registry_and_leaves_it_untouched() {
+        let dir = scratch_dir("corrupt");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("experiments.json");
+        fs::write(&path, "{\"records\": [ {\"id\": ").unwrap();
         let mut reg = Registry::new();
         reg.add(sample());
-        reg.write_to(&dir).unwrap();
-        assert!(dir.join("experiments.md").exists());
-        assert!(dir.join("experiments.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        let err = reg.merge_into(&dir, &["fig7"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"records\": [ {\"id\": "
+        );
+        assert!(!dir.join("experiments.md").exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,39 +1,21 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation section.
+//! evaluation section, plus the later studies.
 //!
 //! ```text
-//! experiments <command> [--out DIR] [--quick]
-//!
-//! commands:
-//!   table2 table3 table4 table5   workload/node description tables
-//!   fig3 fig4 fig5                estimator behaviour traces
-//!   fig6 fig7 fig8 fig9           average vCPU frequency curves
-//!   fig10 fig11 fig14             compression throughput per iteration
-//!   fig12 fig13                   heterogeneous workload frequency curves
-//!   placement                     §IV.C Best-Fit study
-//!   cfs-sides                     §IV.A.2 CFS sharing side experiments
-//!   overhead                      §IV.A.2 controller loop cost
-//!   variance                      §IV.A.2 core-frequency variance
-//!   baselines                     §II comparison (Burst VM, VMDFS, CFS shares)
-//!   cluster                       cluster-scale strategy comparison
-//!   churn                         control-plane admission + reconcile churn
-//!   trace                         trace-driven event-core scale evaluation
-//!   overload                      deadline ladder + leases + API shedding under overload
-//!   pricing                       billing revenue-vs-SLO frontier sweep
-//!   recovery                      warm vs cold controller restart under faults
-//!   ablation                      design-parameter quality sweeps
-//!   factor-sweep                  §III.C consolidation factor on Eq. 7
-//!   all                           everything above + EXPERIMENTS data
+//! experiments <command>|all [--out DIR] [--quick]
 //! ```
 //!
-//! `--quick` runs the simulations 10× shrunk (the default is full paper
-//! scale, ≈700 simulated seconds each). Output: ASCII charts on stdout;
-//! CSVs, sibling gnuplot scripts and a paper-vs-measured registry under
-//! `--out` (default `results/`).
+//! Run without a command for the list, which is generated from
+//! [`COMMANDS`]. `--quick` runs the simulations 10× shrunk (the default
+//! is full paper scale, ≈700 simulated seconds each). Output: ASCII
+//! charts on stdout; CSVs, sibling gnuplot scripts and a paper-vs-measured
+//! registry under `--out` (default `results/`). Every run merges its
+//! records into the registry already there, by id.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::env::VarError;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 use vfc_controller::ControlMode;
 use vfc_cpusched::topology::NodeSpec;
@@ -50,48 +32,146 @@ use vfc_scenarios::runner::{Scale, ScenarioOutcome};
 use vfc_scenarios::{cfs_sides, overhead, placement_eval};
 use vfc_simcore::Micros;
 
-/// Every registered subcommand, in suite order. `all` runs the whole
-/// list; the bare-invocation usage text is generated from it, so a new
-/// command registers itself here exactly once.
-const ALL_COMMANDS: [&str; 29] = [
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "placement",
-    "cfs-sides",
-    "overhead",
-    "variance",
-    "baselines",
-    "cluster",
-    "recovery",
-    "ablation",
-    "factor-sweep",
-    "churn",
-    "trace",
-    "overload",
-    "pricing",
+/// A subcommand: its name, a one-line description, and the function
+/// that runs it. The function must add a registry record under the
+/// command's name; [`dispatch`] fails the command otherwise.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&mut Ctx) -> Result<(), String>,
+);
+
+/// Every subcommand, in suite order. `all` runs the whole table, the
+/// usage text lists it, and new scoreboard records are placed by it.
+const COMMANDS: &[Command] = &[
+    ("table2", "workload on chetemi", |c| {
+        table_workload(c, "table2", NodeKind::Chetemi)
+    }),
+    ("table3", "workload on chiclet", |c| {
+        table_workload(c, "table3", NodeKind::Chiclet)
+    }),
+    ("table4", "node descriptions", table4),
+    ("table5", "second-evaluation workload", table5),
+    ("fig3", "estimator, rising consumption", |c| {
+        estimator_fig(c, "fig3", EstimatorFig::Increase)
+    }),
+    ("fig4", "estimator, falling consumption", |c| {
+        estimator_fig(c, "fig4", EstimatorFig::Decrease)
+    }),
+    ("fig5", "estimator, stable consumption", |c| {
+        estimator_fig(c, "fig5", EstimatorFig::Stable)
+    }),
+    ("fig6", "vCPU frequency, chetemi A", |c| {
+        freq_fig(c, "fig6", NodeKind::Chetemi, ControlMode::MonitorOnly)
+    }),
+    ("fig7", "vCPU frequency, chetemi B", |c| {
+        freq_fig(c, "fig7", NodeKind::Chetemi, ControlMode::Full)
+    }),
+    ("fig8", "vCPU frequency, chiclet A", |c| {
+        freq_fig(c, "fig8", NodeKind::Chiclet, ControlMode::MonitorOnly)
+    }),
+    ("fig9", "vCPU frequency, chiclet B", |c| {
+        freq_fig(c, "fig9", NodeKind::Chiclet, ControlMode::Full)
+    }),
+    ("fig10", "compression rate, chetemi", |c| {
+        rate_fig(c, "fig10", NodeKind::Chetemi)
+    }),
+    ("fig11", "compression rate, chiclet", |c| {
+        rate_fig(c, "fig11", NodeKind::Chiclet)
+    }),
+    ("fig12", "heterogeneous frequency, A", |c| {
+        eval2_fig(c, "fig12", ControlMode::MonitorOnly)
+    }),
+    ("fig13", "heterogeneous frequency, B", |c| {
+        eval2_fig(c, "fig13", ControlMode::Full)
+    }),
+    ("fig14", "compression rate, 2nd eval", fig14),
+    ("placement", "§IV.C Best-Fit study", placement),
+    ("cfs-sides", "§IV.A.2 CFS sharing sides", cfs),
+    ("overhead", "§IV.A.2 controller loop cost", overhead_cmd),
+    ("variance", "§IV.A.2 core-freq. variance", variance),
+    ("baselines", "§II Burst VM, VMDFS, shares", baselines),
+    ("cluster", "cluster strategy comparison", cluster_cmd),
+    ("recovery", "warm vs cold restart", recovery_cmd),
+    ("ablation", "design-parameter sweeps", ablation_cmd),
+    ("factor-sweep", "§III.C factor on Eq. 7", factor_sweep_cmd),
+    ("churn", "control-plane churn", churn_cmd),
+    ("trace", "trace-driven scale evaluation", trace_cmd),
+    ("overload", "ladder, leases, API shedding", overload_cmd),
+    ("pricing", "revenue-vs-SLO frontier", pricing_cmd),
 ];
+
+/// One of the long scenario simulations that several figures share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum EvalRun {
+    Eval1(NodeKind, ControlMode),
+    Eval2(ControlMode),
+}
+
+/// Every [`EvalRun`]; `all` simulates them in parallel up front.
+const EVAL_RUNS: [EvalRun; 6] = [
+    EvalRun::Eval1(NodeKind::Chetemi, ControlMode::MonitorOnly),
+    EvalRun::Eval1(NodeKind::Chetemi, ControlMode::Full),
+    EvalRun::Eval1(NodeKind::Chiclet, ControlMode::MonitorOnly),
+    EvalRun::Eval1(NodeKind::Chiclet, ControlMode::Full),
+    EvalRun::Eval2(ControlMode::MonitorOnly),
+    EvalRun::Eval2(ControlMode::Full),
+];
+
+impl EvalRun {
+    fn simulate(self, scale: Scale) -> ScenarioOutcome {
+        match self {
+            EvalRun::Eval1(node, mode) => eval1::run(node, mode, scale),
+            EvalRun::Eval2(mode) => eval2::run(mode, scale),
+        }
+    }
+}
 
 struct Ctx {
     out: PathBuf,
     scale: Scale,
     registry: Registry,
+    /// Finished [`EvalRun`]s, each simulated at most once.
+    outcomes: Vec<(EvalRun, ScenarioOutcome)>,
 }
 
 impl Ctx {
+    fn new(out: PathBuf, scale: Scale) -> Self {
+        Ctx {
+            out,
+            scale,
+            registry: Registry::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The outcome of `run`, simulated on first use.
+    fn outcome(&mut self, run: EvalRun) -> &ScenarioOutcome {
+        let i = match self.outcomes.iter().position(|(r, _)| *r == run) {
+            Some(i) => i,
+            None => {
+                println!("  running {run:?} (this may take a moment)…");
+                self.outcomes.push((run, run.simulate(self.scale)));
+                self.outcomes.len() - 1
+            }
+        };
+        &self.outcomes[i].1
+    }
+
+    /// Simulates every [`EvalRun`] on its own thread. Each simulation is
+    /// single-threaded and deterministic, so the figures do not change.
+    fn prefill(&mut self) {
+        println!("prefilling the six evaluation runs in parallel…");
+        let scale = self.scale;
+        self.outcomes = std::thread::scope(|s| {
+            EVAL_RUNS
+                .map(|run| s.spawn(move || (run, run.simulate(scale))))
+                .into_iter()
+                .map(|h| h.join().expect("evaluation run panicked"))
+                .collect()
+        });
+    }
+
     fn save_series(&self, id: &str, series: &GroupedSeries) {
         let path = self.out.join(format!("{id}.csv"));
         if let Err(e) = write_csv_file(&path, &grouped_series_csv(series)) {
@@ -153,175 +233,100 @@ fn main() -> ExitCode {
     let Some(command) = command else {
         eprintln!("usage: experiments <command> [--out DIR] [--quick]");
         eprintln!("commands:");
-        for chunk in ALL_COMMANDS.chunks(6) {
-            eprintln!("  {}", chunk.join(" "));
+        for (name, about, _) in COMMANDS {
+            eprintln!("  {name:<14}{about}");
         }
-        eprintln!("  all (everything above + EXPERIMENTS data)");
+        eprintln!("  {:<14}every command above, in order", "all");
         return ExitCode::FAILURE;
     };
 
-    let mut ctx = Ctx {
-        out,
-        scale,
-        registry: Registry::new(),
-    };
-
-    let commands: Vec<&str> = if command == "all" {
-        ALL_COMMANDS.to_vec()
-    } else if ALL_COMMANDS.contains(&command.as_str()) {
-        vec![command.as_str()]
+    let mut ctx = Ctx::new(out, scale);
+    let commands = if command == "all" {
+        ctx.prefill();
+        COMMANDS
+    } else if let Some(cmd) = COMMANDS.iter().find(|(name, ..)| *name == command) {
+        std::slice::from_ref(cmd)
     } else {
         eprintln!("unknown command: {command}");
         return ExitCode::FAILURE;
     };
+    let failures = dispatch(commands, &mut ctx);
 
-    // eval1/eval2 runs are shared between figures; cache them.
-    let mut cache: BTreeMap<String, ScenarioOutcome> = BTreeMap::new();
-
-    // When the whole suite runs, the six long scenario simulations are
-    // independent — fill the cache in parallel (crossbeam scoped threads;
-    // each simulation is single-threaded and deterministic).
-    if command == "all" {
-        println!("prefilling the six evaluation runs in parallel…");
-        let runs: Vec<(String, Box<dyn FnOnce() -> ScenarioOutcome + Send>)> = vec![
-            (
-                format!(
-                    "eval1-{:?}-{:?}",
-                    NodeKind::Chetemi,
-                    ControlMode::MonitorOnly
-                ),
-                Box::new(move || eval1::run(NodeKind::Chetemi, ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval1-{:?}-{:?}", NodeKind::Chetemi, ControlMode::Full),
-                Box::new(move || eval1::run(NodeKind::Chetemi, ControlMode::Full, scale)),
-            ),
-            (
-                format!(
-                    "eval1-{:?}-{:?}",
-                    NodeKind::Chiclet,
-                    ControlMode::MonitorOnly
-                ),
-                Box::new(move || eval1::run(NodeKind::Chiclet, ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval1-{:?}-{:?}", NodeKind::Chiclet, ControlMode::Full),
-                Box::new(move || eval1::run(NodeKind::Chiclet, ControlMode::Full, scale)),
-            ),
-            (
-                format!("eval2-{:?}", ControlMode::MonitorOnly),
-                Box::new(move || eval2::run(ControlMode::MonitorOnly, scale)),
-            ),
-            (
-                format!("eval2-{:?}", ControlMode::Full),
-                Box::new(move || eval2::run(ControlMode::Full, scale)),
-            ),
-        ];
-        let results = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = runs
-                .into_iter()
-                .map(|(key, run)| s.spawn(move |_| (key, run())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scenario thread"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
-        cache.extend(results);
-    }
-
-    for cmd in commands {
-        println!("=== {cmd} ===");
-        match cmd {
-            "table2" => table_workload(&mut ctx, "table2", NodeKind::Chetemi),
-            "table3" => table_workload(&mut ctx, "table3", NodeKind::Chiclet),
-            "table4" => table4(&mut ctx),
-            "table5" => table5(&mut ctx),
-            "fig3" => estimator_fig(&mut ctx, "fig3", EstimatorFig::Increase),
-            "fig4" => estimator_fig(&mut ctx, "fig4", EstimatorFig::Decrease),
-            "fig5" => estimator_fig(&mut ctx, "fig5", EstimatorFig::Stable),
-            "fig6" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig6",
-                NodeKind::Chetemi,
-                ControlMode::MonitorOnly,
-            ),
-            "fig7" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig7",
-                NodeKind::Chetemi,
-                ControlMode::Full,
-            ),
-            "fig8" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig8",
-                NodeKind::Chiclet,
-                ControlMode::MonitorOnly,
-            ),
-            "fig9" => freq_fig(
-                &mut ctx,
-                &mut cache,
-                "fig9",
-                NodeKind::Chiclet,
-                ControlMode::Full,
-            ),
-            "fig10" => rate_fig(&mut ctx, &mut cache, "fig10", NodeKind::Chetemi),
-            "fig11" => rate_fig(&mut ctx, &mut cache, "fig11", NodeKind::Chiclet),
-            "fig12" => eval2_fig(&mut ctx, &mut cache, "fig12", ControlMode::MonitorOnly),
-            "fig13" => eval2_fig(&mut ctx, &mut cache, "fig13", ControlMode::Full),
-            "fig14" => fig14(&mut ctx, &mut cache),
-            "placement" => placement(&mut ctx),
-            "cfs-sides" => cfs(&mut ctx),
-            "overhead" => overhead_cmd(&mut ctx),
-            "variance" => variance(&mut ctx, &mut cache),
-            "baselines" => baselines(&mut ctx),
-            "cluster" => cluster_cmd(&mut ctx),
-            "recovery" => recovery_cmd(&mut ctx),
-            "ablation" => ablation_cmd(&mut ctx),
-            "factor-sweep" => factor_sweep_cmd(&mut ctx),
-            "churn" => {
-                if !churn_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "trace" => {
-                if !trace_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "overload" => {
-                if !overload_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "pricing" => {
-                if !pricing_cmd(&mut ctx) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            _ => unreachable!(),
+    let order: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+    let scoreboard = match ctx.registry.merge_into(&ctx.out, &order) {
+        Ok(scoreboard) => scoreboard,
+        Err(e) => {
+            eprintln!("error: could not update the scoreboard: {e}");
+            return ExitCode::FAILURE;
         }
-        println!();
-    }
-
-    if let Err(e) = ctx.registry.write_to(&ctx.out) {
-        eprintln!("warning: could not write registry: {e}");
-    }
-    let (ok, partial, bad) = ctx.registry.tally();
+    };
+    let (ok, partial, bad) = scoreboard.tally();
     println!(
         "records: {ok} reproduced, {partial} partial, {bad} diverged → {}",
         ctx.out.join("experiments.md").display()
     );
-    ExitCode::SUCCESS
+    for failure in &failures {
+        eprintln!("FAIL: {failure}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs `commands` in order and returns one message per failed command.
+/// A command fails when it returns `Err`, or returns `Ok` without adding
+/// a record under its own name. The run goes on either way, so every
+/// record already measured reaches the scoreboard.
+fn dispatch(commands: &[Command], ctx: &mut Ctx) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, _, run) in commands {
+        println!("=== {name} ===");
+        let result = run(ctx).and_then(|()| match ctx.registry.get(name) {
+            Some(_) => Ok(()),
+            None => Err(format!("{name} finished without adding its record")),
+        });
+        if let Err(e) = result {
+            failures.push(e);
+        }
+        println!();
+    }
+    failures
+}
+
+/// A CI gate read from the environment variable `var`: unset turns the
+/// gate off; a value that does not parse fails, naming the variable.
+/// Otherwise `check` compares against the threshold and returns the
+/// pass message (printed here) or the failure.
+fn env_gate<T: FromStr>(
+    var: &str,
+    check: impl FnOnce(T) -> Result<String, String>,
+) -> Result<(), String> {
+    gate(var, std::env::var(var), check)
+}
+
+/// [`env_gate`] on an already-read variable.
+fn gate<T: FromStr>(
+    var: &str,
+    value: Result<String, VarError>,
+    check: impl FnOnce(T) -> Result<String, String>,
+) -> Result<(), String> {
+    let value = match value {
+        Err(VarError::NotPresent) => return Ok(()),
+        Err(VarError::NotUnicode(v)) => return Err(format!("{var}={v:?} is not valid UTF-8")),
+        Ok(value) => value,
+    };
+    let threshold = value
+        .parse()
+        .map_err(|_| format!("{var}={value:?} is not a number; unset it to turn the gate off"))?;
+    println!("{}", check(threshold)?);
+    Ok(())
 }
 
 // ---------------------------------------------------------------- tables --
 
-fn table_workload(ctx: &mut Ctx, id: &str, node: NodeKind) {
+fn table_workload(ctx: &mut Ctx, id: &str, node: NodeKind) -> Result<(), String> {
     let (small, large) = node.counts();
     let mut t = TextTable::new(&["VM", "vCPUs", "Frequency", "Instances", "Workload"]);
     t.row_strs(&["small", "2", "500 MHz", &small.to_string(), "compress-7zip"]);
@@ -362,9 +367,10 @@ fn table_workload(ctx: &mut Ctx, id: &str, node: NodeKind) {
         .measured("encoded verbatim")
         .verdict(Verdict::Reproduced),
     );
+    Ok(())
 }
 
-fn table4(ctx: &mut Ctx) {
+fn table4(ctx: &mut Ctx) -> Result<(), String> {
     let mut t = TextTable::new(&["Name", "CPU", "Cores", "Frequency", "Memory"]);
     for spec in [NodeSpec::chetemi(), NodeSpec::chiclet()] {
         t.row(&[
@@ -385,9 +391,10 @@ fn table4(ctx: &mut Ctx) {
         .measured("encoded as NodeSpec presets (SMT threads counted for Eq. 7)")
         .verdict(Verdict::Reproduced),
     );
+    Ok(())
 }
 
-fn table5(ctx: &mut Ctx) {
+fn table5(ctx: &mut Ctx) -> Result<(), String> {
     let (s, m, l) = eval2::COUNTS;
     let mut t = TextTable::new(&["VM", "vCPUs", "Frequency", "Instances", "Workload"]);
     t.row_strs(&["small", "2", "500 MHz", &s.to_string(), "compress-7zip"]);
@@ -403,11 +410,12 @@ fn table5(ctx: &mut Ctx) {
         .measured("encoded verbatim")
         .verdict(Verdict::Reproduced),
     );
+    Ok(())
 }
 
 // ------------------------------------------------------ estimator figures --
 
-fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) {
+fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) -> Result<(), String> {
     let series = trace(fig);
     println!(
         "{}",
@@ -444,33 +452,15 @@ fn estimator_fig(ctx: &mut Ctx, id: &str, fig: EstimatorFig) {
             .metric("final_capping_us", capping)
             .verdict(verdict),
     );
+    Ok(())
 }
 
 // ------------------------------------------------------ frequency figures --
 
-fn eval1_outcome(
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    node: NodeKind,
-    mode: ControlMode,
-    scale: Scale,
-) -> &ScenarioOutcome {
-    let key = format!("eval1-{node:?}-{mode:?}");
-    cache.entry(key).or_insert_with(|| {
-        println!("  running eval1 {node:?} {mode:?} (this may take a moment)…");
-        eval1::run(node, mode, scale)
-    })
-}
-
-fn freq_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    node: NodeKind,
-    mode: ControlMode,
-) {
+fn freq_fig(ctx: &mut Ctx, id: &str, node: NodeKind, mode: ControlMode) -> Result<(), String> {
     let scale = ctx.scale;
     let (freqs, series, variance) = {
-        let out = eval1_outcome(cache, node, mode, scale);
+        let out = ctx.outcome(EvalRun::Eval1(node, mode));
         (
             eval1::contended_freqs(out, scale),
             out.freq_series.clone(),
@@ -530,64 +520,48 @@ fn freq_fig(
         .metric("core_freq_variance", variance)
         .verdict(verdict),
     );
+    Ok(())
 }
 
 // ----------------------------------------------------- throughput figures --
 
-fn rates_series(out: &ScenarioOutcome, class: &str, label_prefix: &str) -> GroupedSeries {
-    let mut g = GroupedSeries::new();
-    for phase in ["compress", "decompress"] {
-        for iter in out.iterations_reported(class, phase) {
-            if let Some(rate) = out.mean_rate(class, phase, iter) {
-                g.push(
-                    &format!("{label_prefix}-{phase}"),
-                    Micros(iter as u64), // x-axis is the iteration index
-                    rate,
-                );
+/// The small instances' compress/decompress rate per iteration in
+/// executions A and B, as series `{A,B}-{compress,decompress}`.
+fn small_rates(ctx: &mut Ctx, run: impl Fn(ControlMode) -> EvalRun) -> GroupedSeries {
+    let mut series = GroupedSeries::new();
+    for (mode, label) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
+        let out = ctx.outcome(run(mode));
+        for phase in ["compress", "decompress"] {
+            for iter in out.iterations_reported("small", phase) {
+                if let Some(rate) = out.mean_rate("small", phase, iter) {
+                    // The x-axis is the iteration index.
+                    series.push(&format!("{label}-{phase}"), Micros(iter as u64), rate);
+                }
             }
         }
     }
-    g
+    series
 }
 
-fn rate_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    node: NodeKind,
-) {
-    let scale = ctx.scale;
-    let mut series = GroupedSeries::new();
+fn rate_fig(ctx: &mut Ctx, id: &str, node: NodeKind) -> Result<(), String> {
+    let series = small_rates(ctx, |mode| EvalRun::Eval1(node, mode));
+    // Stability of the *contended* iterations in B. Timeline: the
+    // first ~3 iterations run uncontended ("the first 3 iterations
+    // are equal" per the paper); iterations 4–7 run while the larges
+    // contend (the guarantee plateau); later iterations run after the
+    // larges complete and burst again. The claim under test is that
+    // the plateau sits tight at the guarantee rate.
     let mut stable_ratio = f64::NAN;
-    for (mode, label) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-        let out = eval1_outcome(cache, node, mode, scale);
-        let g = rates_series(out, "small", label);
-        for name in g.names() {
-            if let Some(s) = g.get(name) {
-                for (t, v) in s.points() {
-                    series.push(name, *t, *v);
-                }
-            }
-        }
-        // Stability of the *contended* iterations in B. Timeline: the
-        // first ~3 iterations run uncontended ("the first 3 iterations
-        // are equal" per the paper); iterations 4–7 run while the larges
-        // contend (the guarantee plateau); later iterations run after the
-        // larges complete and burst again. The claim under test is that
-        // the plateau sits tight at the guarantee rate.
-        if mode == ControlMode::Full {
-            if let Some(s) = g.get("B-compress") {
-                let contended: Vec<f64> = s
-                    .points()
-                    .iter()
-                    .filter(|(iter, _)| (4..=7).contains(&iter.as_u64()))
-                    .map(|(_, v)| *v)
-                    .collect();
-                let summary = vfc_metrics::stats::Summary::of(&contended);
-                if summary.mean() > 0.0 {
-                    stable_ratio = summary.std_dev() / summary.mean();
-                }
-            }
+    if let Some(s) = series.get("B-compress") {
+        let contended: Vec<f64> = s
+            .points()
+            .iter()
+            .filter(|(iter, _)| (4..=7).contains(&iter.as_u64()))
+            .map(|(_, v)| *v)
+            .collect();
+        let summary = vfc_metrics::stats::Summary::of(&contended);
+        if summary.mean() > 0.0 {
+            stable_ratio = summary.std_dev() / summary.mean();
         }
     }
     println!(
@@ -622,31 +596,15 @@ fn rate_fig(
             Verdict::Partial
         }),
     );
+    Ok(())
 }
 
 // -------------------------------------------------------- second evaluation --
 
-fn eval2_outcome(
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    mode: ControlMode,
-    scale: Scale,
-) -> &ScenarioOutcome {
-    let key = format!("eval2-{mode:?}");
-    cache.entry(key).or_insert_with(|| {
-        println!("  running eval2 {mode:?}…");
-        eval2::run(mode, scale)
-    })
-}
-
-fn eval2_fig(
-    ctx: &mut Ctx,
-    cache: &mut BTreeMap<String, ScenarioOutcome>,
-    id: &str,
-    mode: ControlMode,
-) {
+fn eval2_fig(ctx: &mut Ctx, id: &str, mode: ControlMode) -> Result<(), String> {
     let scale = ctx.scale;
     let (series, small, medium, large) = {
-        let out = eval2_outcome(cache, mode, scale);
+        let out = ctx.outcome(EvalRun::Eval2(mode));
         // Contended window: between the large ramp and the medium finish.
         let from = scale.time(eval2::LARGE_START) + Micros::from_secs(20);
         let to = from + scale.time(Micros::from_secs(60));
@@ -702,22 +660,11 @@ fn eval2_fig(
         .metric("large_mhz", large)
         .verdict(verdict),
     );
+    Ok(())
 }
 
-fn fig14(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
-    let scale = ctx.scale;
-    let mut series = GroupedSeries::new();
-    for (mode, label) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-        let out = eval2_outcome(cache, mode, scale);
-        let g = rates_series(out, "small", label);
-        for name in g.names() {
-            if let Some(s) = g.get(name) {
-                for (t, v) in s.points() {
-                    series.push(name, *t, *v);
-                }
-            }
-        }
-    }
+fn fig14(ctx: &mut Ctx) -> Result<(), String> {
+    let series = small_rates(ctx, EvalRun::Eval2);
     println!(
         "{}",
         chart(
@@ -737,11 +684,12 @@ fn fig14(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
         .measured("see fig14.csv")
         .verdict(Verdict::Reproduced),
     );
+    Ok(())
 }
 
 // ----------------------------------------------------------------- others --
 
-fn placement(ctx: &mut Ctx) {
+fn placement(ctx: &mut Ctx) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut table = TextTable::new(&[
         "order",
@@ -806,9 +754,10 @@ fn placement(ctx: &mut Ctx) {
             .metric("classic_nodes_used", classic_nodes as f64)
             .verdict(verdict),
     );
+    Ok(())
 }
 
-fn cfs(ctx: &mut Ctx) {
+fn cfs(ctx: &mut Ctx) -> Result<(), String> {
     let a = cfs_sides::experiment_a();
     let b = cfs_sides::experiment_b();
     println!(
@@ -854,9 +803,10 @@ fn cfs(ctx: &mut Ctx) {
         .metric("single_vcpu_share", share)
         .verdict(verdict),
     );
+    Ok(())
 }
 
-fn overhead_cmd(ctx: &mut Ctx) {
+fn overhead_cmd(ctx: &mut Ctx) -> Result<(), String> {
     let r = overhead::measure(80, 20);
     println!(
         "{} vCPUs, {} iterations ({} warmup discarded):",
@@ -878,32 +828,15 @@ fn overhead_cmd(ctx: &mut Ctx) {
         "stage", "mean_us", "p50_us", "p95_us", "p99_us", "max_us", "paper_us"
     );
     let mut rows = Vec::new();
-    for ((name, snap), (_, paper)) in r.stages.iter().zip(paper_us) {
-        let paper_col = paper.map_or("-".to_string(), |p| p.to_string());
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            name,
-            snap.mean_us(),
-            snap.p50_us,
-            snap.p95_us,
-            snap.p99_us,
-            snap.max_us,
-            paper_col
-        );
-        rows.push(vec![
-            name.to_string(),
-            snap.mean_us().to_string(),
-            snap.p50_us.to_string(),
-            snap.p95_us.to_string(),
-            snap.p99_us.to_string(),
-            snap.max_us.to_string(),
-            paper_col,
-        ]);
-    }
-    for (name, snap, paper) in [
+    let totals = [
         ("iteration", &r.iteration, Some(5_000u64)),
         ("render", &r.render, None),
-    ] {
+    ];
+    let stages = r.stages.iter().zip(paper_us);
+    for (name, snap, paper) in stages
+        .map(|((name, snap), (_, paper))| (*name, snap, *paper))
+        .chain(totals)
+    {
         let paper_col = paper.map_or("-".to_string(), |p| p.to_string());
         println!(
             "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
@@ -1037,10 +970,10 @@ fn overhead_cmd(ctx: &mut Ctx) {
             .metric("render_p99_us", r.render.p99_us as f64)
             .verdict(verdict),
     );
+    Ok(())
 }
 
-fn variance(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
-    let scale = ctx.scale;
+fn variance(ctx: &mut Ctx) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut all_small = true;
     for (node, label) in [
@@ -1048,7 +981,7 @@ fn variance(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
         (NodeKind::Chiclet, "chiclet"),
     ] {
         for (mode, ml) in [(ControlMode::MonitorOnly, "A"), (ControlMode::Full, "B")] {
-            let v = eval1_outcome(cache, node, mode, scale).core_freq_variance;
+            let v = ctx.outcome(EvalRun::Eval1(node, mode)).core_freq_variance;
             println!("{label} execution {ml}: mean core-frequency variance {v:.1} MHz²");
             rows.push(vec![label.to_string(), ml.to_string(), format!("{v:.2}")]);
             if v > 50_000.0 {
@@ -1070,9 +1003,10 @@ fn variance(ctx: &mut Ctx, cache: &mut BTreeMap<String, ScenarioOutcome>) {
             Verdict::Partial
         }),
     );
+    Ok(())
 }
 
-fn baselines(ctx: &mut Ctx) {
+fn baselines(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::baseline_eval::{compare, PolicyKind};
     let cmp = compare();
     let mut table = TextTable::new(&[
@@ -1140,9 +1074,10 @@ fn baselines(ctx: &mut Ctx) {
             .metric("vfc_idle_node_mhz", vfc.idle_node_mhz)
             .verdict(verdict),
     );
+    Ok(())
 }
 
-fn cluster_cmd(ctx: &mut Ctx) {
+fn cluster_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::cluster_eval::{compare, ClusterScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         ClusterScenario {
@@ -1239,9 +1174,10 @@ fn cluster_cmd(ctx: &mut Ctx) {
             .metric("mig_energy_wh", cmp.migration.energy_wh)
             .verdict(verdict),
     );
+    Ok(())
 }
 
-fn recovery_cmd(ctx: &mut Ctx) {
+fn recovery_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::recovery_eval::{
         compare, recovery_slo, total_recovery_violations, RecoveryScenario,
     };
@@ -1323,9 +1259,10 @@ fn recovery_cmd(ctx: &mut Ctx) {
             Verdict::Diverged
         }),
     );
+    Ok(())
 }
 
-fn ablation_cmd(ctx: &mut Ctx) {
+fn ablation_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::ablation;
 
     println!("increase factor (idle → saturating step):");
@@ -1413,9 +1350,10 @@ fn ablation_cmd(ctx: &mut Ctx) {
         )
         .verdict(Verdict::Reproduced),
     );
+    Ok(())
 }
 
-fn factor_sweep_cmd(ctx: &mut Ctx) {
+fn factor_sweep_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::factor_sweep::sweep;
     let rows_data = sweep(&[1.0, 1.2, 1.4, 1.6, 1.8, 2.0]);
     let mut table = TextTable::new(&["factor", "nodes used (of 22)", "worst delivered/guaranteed"]);
@@ -1438,14 +1376,10 @@ fn factor_sweep_cmd(ctx: &mut Ctx) {
         &["factor", "nodes_used", "worst_delivery_ratio"],
         &rows,
     );
-    let ok = rows_data
-        .first()
-        .map(|r| r.worst_delivery_ratio > 0.97)
-        .unwrap_or(false)
-        && rows_data
-            .last()
-            .map(|r| r.worst_delivery_ratio < 0.6)
-            .unwrap_or(false);
+    let (Some(first), Some(last)) = (rows_data.first(), rows_data.last()) else {
+        return Err("the factor sweep produced no rows".into());
+    };
+    let ok = first.worst_delivery_ratio > 0.97 && last.worst_delivery_ratio < 0.6;
     ctx.registry.add(
         ExperimentRecord::new(
             "factor-sweep",
@@ -1456,18 +1390,10 @@ fn factor_sweep_cmd(ctx: &mut Ctx) {
         .measured(format!(
             "factor 1.0 → {:.0} % of guarantee delivered; factor 2.0 → {:.0} % \
                  ({} vs {} nodes)",
-            100.0
-                * rows_data
-                    .first()
-                    .map(|r| r.worst_delivery_ratio)
-                    .unwrap_or(0.0),
-            100.0
-                * rows_data
-                    .last()
-                    .map(|r| r.worst_delivery_ratio)
-                    .unwrap_or(0.0),
-            rows_data.first().map(|r| r.nodes_used).unwrap_or(0),
-            rows_data.last().map(|r| r.nodes_used).unwrap_or(0),
+            100.0 * first.worst_delivery_ratio,
+            100.0 * last.worst_delivery_ratio,
+            first.nodes_used,
+            last.nodes_used,
         ))
         .verdict(if ok {
             Verdict::Reproduced
@@ -1475,13 +1401,14 @@ fn factor_sweep_cmd(ctx: &mut Ctx) {
             Verdict::Partial
         }),
     );
+    Ok(())
 }
 
 /// Control-plane churn: seeded create/resize/delete stream through
 /// admission + reconcile, invariant checks, admission throughput.
-/// Returns `false` (CI failure) when `VFC_CHURN_MIN_OPS` is set and the
-/// measured admission throughput falls below it.
-fn churn_cmd(ctx: &mut Ctx) -> bool {
+/// Fails when an invariant breaks or, with `VFC_CHURN_MIN_OPS` set, when
+/// the measured admission throughput falls below it.
+fn churn_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::churn::{run, ChurnScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         ChurnScenario {
@@ -1561,37 +1488,31 @@ fn churn_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !invariants_hold {
-        eprintln!("FAIL: churn violated an invariant");
-        return false;
+        return Err("churn violated an invariant".into());
     }
-    if let Ok(floor) = std::env::var("VFC_CHURN_MIN_OPS") {
-        if let Ok(floor) = floor.parse::<f64>() {
-            if o.admission_ops_per_sec < floor {
-                eprintln!(
-                    "FAIL: admission throughput {:.0} ops/s below the {floor:.0} ops/s floor",
-                    o.admission_ops_per_sec
-                );
-                return false;
-            }
-            println!(
-                "  throughput floor met: {:.0} ≥ {floor:.0} ops/s",
-                o.admission_ops_per_sec
-            );
+    env_gate("VFC_CHURN_MIN_OPS", |floor: f64| {
+        let ops = o.admission_ops_per_sec;
+        if ops < floor {
+            return Err(format!(
+                "admission throughput {ops:.0} ops/s below the {floor:.0} ops/s floor"
+            ));
         }
-    }
-    true
+        Ok(format!(
+            "  throughput floor met: {ops:.0} ≥ {floor:.0} ops/s"
+        ))
+    })
 }
 
 /// Trace-driven event-core evaluation: replay a committed golden trace
 /// as a smoke check, then a synthetic datacenter-scale trace under the
-/// Eq. 7 FF/BF regimes and the vCPU-packing baseline. Returns `false`
-/// (CI failure) when the golden replay misbehaves or `VFC_TRACE_MIN_EPS`
-/// is set and the slowest regime's replay throughput falls below it.
+/// Eq. 7 FF/BF regimes and the vCPU-packing baseline. Fails when the
+/// golden replay misbehaves or, with `VFC_TRACE_MIN_EPS` set, when the
+/// slowest regime's replay throughput falls below it.
 ///
 /// Scale knobs (all optional): `VFC_TRACE_NODES`, `VFC_TRACE_VMS`,
 /// `VFC_TRACE_PERIODS` override the synthetic scenario; `--quick` runs
 /// the shrunk variant.
-fn trace_cmd(ctx: &mut Ctx) -> bool {
+fn trace_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_cluster::{ClusterManager, CsvTraceReader, EventDrivenCluster, Strategy, TraceReader};
     use vfc_scenarios::trace_eval::{run_variant, variants, TraceScenario};
     use vfc_simcore::MHz;
@@ -1612,21 +1533,17 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
             cluster.run_until(130);
             let r = cluster.report();
             if r.deployed != n || r.rejected != 0 {
-                eprintln!(
-                    "FAIL: golden trace replay admitted {}/{n} VMs ({} rejected)",
+                return Err(format!(
+                    "golden trace replay admitted {}/{n} VMs ({} rejected)",
                     r.deployed, r.rejected
-                );
-                return false;
+                ));
             }
             println!(
                 "  golden replay: {n} VMs admitted, {} migrations",
                 r.migrations
             );
         }
-        Err(e) => {
-            eprintln!("FAIL: could not replay {sample}: {e}");
-            return false;
-        }
+        Err(e) => return Err(format!("could not replay {sample}: {e}")),
     }
 
     // 2. Scale comparison.
@@ -1762,29 +1679,27 @@ fn trace_cmd(ctx: &mut Ctx) -> bool {
         ),
     );
 
-    if let Ok(floor) = std::env::var("VFC_TRACE_MIN_EPS") {
-        if let Ok(floor) = floor.parse::<f64>() {
-            if min_eps < floor {
-                eprintln!(
-                    "FAIL: replay throughput {min_eps:.0} events/s below the {floor:.0} events/s floor"
-                );
-                return false;
-            }
-            println!("  throughput floor met: {min_eps:.0} ≥ {floor:.0} events/s");
+    env_gate("VFC_TRACE_MIN_EPS", |floor: f64| {
+        if min_eps < floor {
+            return Err(format!(
+                "replay throughput {min_eps:.0} events/s below the {floor:.0} events/s floor"
+            ));
         }
-    }
-    true
+        Ok(format!(
+            "  throughput floor met: {min_eps:.0} ≥ {floor:.0} events/s"
+        ))
+    })
 }
 
 /// Overload resilience: the deadline degradation ladder under loop-time
 /// inflation, fail-safe cap leases under a control-plane partition, and
 /// socket-level shedding of slow-loris / oversized clients — with and
-/// without the ladder over the identical schedule. Returns `false` (CI
-/// failure) when the ladder never engages or never recovers, when the
-/// well-behaved API failure rate reaches 1 %, or when
-/// `VFC_OVERLOAD_MAX_RECOVERY` is set and the full pipeline takes more
-/// than that many periods past the stress window to return.
-fn overload_cmd(ctx: &mut Ctx) -> bool {
+/// without the ladder over the identical schedule. Fails when the ladder
+/// never engages or never recovers, when the well-behaved API failure
+/// rate reaches 1 %, or, with `VFC_OVERLOAD_MAX_RECOVERY` set, when the
+/// full pipeline takes more than that many periods past the stress
+/// window to return.
+fn overload_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::overload_eval::{api_stress, compare, ApiStressScenario, OverloadScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         OverloadScenario::quick()
@@ -1800,13 +1715,7 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         scenario.stage_delay_us,
         scenario.partition,
     );
-    let cmp = match compare(scenario) {
-        Ok(cmp) => cmp,
-        Err(e) => {
-            eprintln!("FAIL: scenario rejected: {e}");
-            return false;
-        }
-    };
+    let cmp = compare(scenario).map_err(|e| format!("scenario rejected: {e}"))?;
     let (w, wo) = (&cmp.with_ladder, &cmp.without_ladder);
     let viol = |r: &vfc_scenarios::overload_eval::OverloadRun| -> u64 {
         r.points.iter().map(|p| p.violations).sum()
@@ -1869,13 +1778,8 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         &rows,
     );
 
-    let api = match api_stress(ApiStressScenario::default()) {
-        Ok(api) => api,
-        Err(e) => {
-            eprintln!("FAIL: api stress could not bind: {e}");
-            return false;
-        }
-    };
+    let api = api_stress(ApiStressScenario::default())
+        .map_err(|e| format!("api stress could not bind: {e}"))?;
     println!(
         "  api: {} probes ok / {} failed ({:.2} % failure), {} loris shed (408), {} oversized shed (413)",
         api.good_ok,
@@ -1920,48 +1824,39 @@ fn overload_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !ladder_worked {
-        eprintln!(
-            "FAIL: ladder never engaged or never recovered (worst rung {}, recovered {:?})",
+        return Err(format!(
+            "ladder never engaged or never recovered (worst rung {}, recovered {:?})",
             w.max_rung, w.recovered_at
-        );
-        return false;
+        ));
     }
     if !api_ok {
-        eprintln!(
-            "FAIL: api shedding misbehaved ({:.2} % well-behaved failures, {}×408, {}×413)",
+        return Err(format!(
+            "api shedding misbehaved ({:.2} % well-behaved failures, {}×408, {}×413)",
             api.good_failure_rate * 100.0,
             api.shed_read_timeout,
             api.shed_body_too_large
-        );
-        return false;
+        ));
     }
-    if let Ok(max) = std::env::var("VFC_OVERLOAD_MAX_RECOVERY") {
-        if let Ok(max) = max.parse::<u64>() {
-            let lag = w
-                .recovered_at
-                .map(|p| p.saturating_sub(cmp.scenario.stress.1));
-            match lag {
-                Some(lag) if lag <= max => {
-                    println!("  recovery floor met: {lag} ≤ {max} periods past the stress window");
-                }
-                lag => {
-                    eprintln!("FAIL: ladder recovery lag {lag:?} exceeds the {max}-period ceiling");
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    let lag = w
+        .recovered_at
+        .map(|p| p.saturating_sub(cmp.scenario.stress.1));
+    env_gate("VFC_OVERLOAD_MAX_RECOVERY", |max: u64| match lag {
+        Some(lag) if lag <= max => Ok(format!(
+            "  recovery floor met: {lag} ≤ {max} periods past the stress window"
+        )),
+        lag => Err(format!(
+            "ladder recovery lag {lag:?} exceeds the {max}-period ceiling"
+        )),
+    })
 }
 
 /// Revenue-vs-SLO pricing sweep: every `vfc-billing` price curve ×
 /// every SLA-class mix over the churn fleet on the event-driven core,
 /// with a light crash model supplying the SLO pressure. Emits the
-/// frontier to `pricing_eval.csv`. Returns `false` (CI failure) when a
-/// cell meters nothing, bills zero revenue, or — with
-/// `VFC_PRICING_MIN_PERIODS` set — meters fewer distinct periods than
-/// the floor.
-fn pricing_cmd(ctx: &mut Ctx) -> bool {
+/// frontier to `pricing_eval.csv`. Fails when a cell meters nothing,
+/// bills zero revenue, or — with `VFC_PRICING_MIN_PERIODS` set — meters
+/// fewer distinct periods than the floor.
+fn pricing_cmd(ctx: &mut Ctx) -> Result<(), String> {
     use vfc_scenarios::pricing_eval::{run, PricingScenario};
     let scenario = if ctx.scale.0 < 1.0 {
         PricingScenario {
@@ -2061,22 +1956,19 @@ fn pricing_cmd(ctx: &mut Ctx) -> bool {
         }),
     );
     if !metered || !billed {
-        eprintln!("FAIL: a pricing cell metered no periods or billed no revenue");
-        return false;
+        return Err("a pricing cell metered no periods or billed no revenue".into());
     }
-    if let Ok(floor) = std::env::var("VFC_PRICING_MIN_PERIODS") {
-        if let Ok(floor) = floor.parse::<u64>() {
-            if min_periods < floor {
-                eprintln!(
-                    "FAIL: a cell metered only {min_periods} distinct periods, \
-                     below the {floor}-period floor"
-                );
-                return false;
-            }
-            println!("  metering floor met: {min_periods} ≥ {floor} periods");
+    env_gate("VFC_PRICING_MIN_PERIODS", |floor: u64| {
+        if min_periods < floor {
+            return Err(format!(
+                "a cell metered only {min_periods} distinct periods, \
+                 below the {floor}-period floor"
+            ));
         }
-    }
-    true
+        Ok(format!(
+            "  metering floor met: {min_periods} ≥ {floor} periods"
+        ))
+    })
 }
 
 /// Header row of `pricing_eval.csv`; the CI smoke job asserts the
@@ -2098,7 +1990,75 @@ const PRICING_EVAL_HEADERS: &[&str] = &[
     "violation_rate",
 ];
 
-// Avoid unused warning for Path (used in helper signatures only on some
-// platforms).
-#[allow(dead_code)]
-fn _touch(_: &Path) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(id: &str) -> ExperimentRecord {
+        ExperimentRecord::new(id, "stub", "stub claim").verdict(Verdict::Reproduced)
+    }
+
+    #[test]
+    fn dispatch_fails_commands_that_err_or_leave_no_record_and_keeps_going() {
+        let stubs: &[Command] = &[
+            ("good", "records itself", |c| {
+                c.registry.add(record("good"));
+                Ok(())
+            }),
+            ("silent", "records nothing", |_| Ok(())),
+            ("misnamed", "records under another id", |c| {
+                c.registry.add(record("other"));
+                Ok(())
+            }),
+            ("broken", "records, then fails", |c| {
+                c.registry.add(record("broken"));
+                Err("gate tripped".into())
+            }),
+            ("after", "runs after the failures", |c| {
+                c.registry.add(record("after"));
+                Ok(())
+            }),
+        ];
+        let mut ctx = Ctx::new(std::env::temp_dir(), Scale::quick());
+        let failures = dispatch(stubs, &mut ctx);
+        assert_eq!(
+            failures,
+            [
+                "silent finished without adding its record",
+                "misnamed finished without adding its record",
+                "gate tripped",
+            ]
+        );
+        let ids: Vec<&str> = ctx.registry.records.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["good", "other", "broken", "after"]);
+    }
+
+    /// The gate as `churn` uses it, against a measured 1500 ops/s.
+    fn churn_gate(value: Result<String, VarError>) -> Result<(), String> {
+        gate("VFC_CHURN_MIN_OPS", value, |floor: f64| {
+            if 1500.0 < floor {
+                return Err(format!("below the {floor} floor"));
+            }
+            Ok(format!("floor {floor} met"))
+        })
+    }
+
+    #[test]
+    fn gate_is_off_when_unset_and_fails_when_malformed() {
+        assert_eq!(churn_gate(Err(VarError::NotPresent)), Ok(()));
+        let err = churn_gate(Ok("2k".into())).unwrap_err();
+        assert!(
+            err.contains("VFC_CHURN_MIN_OPS") && err.contains("2k"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn gate_fails_below_the_floor_and_passes_when_met() {
+        assert_eq!(
+            churn_gate(Ok("2000".into())),
+            Err("below the 2000 floor".into())
+        );
+        assert_eq!(churn_gate(Ok("1500".into())), Ok(()));
+    }
+}
