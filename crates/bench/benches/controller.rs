@@ -110,27 +110,19 @@ fn bench_stages(c: &mut Criterion) {
     group.bench_function("auction_80_buyers", |b| {
         // 40 VMs × 2 vCPUs bidding for a 4 M µs market.
         b.iter(|| {
+            // Each VM's wallet as Eq. 4 funds it after one period: two
+            // vCPUs each 108 333 µs under a 208 333 µs guarantee.
             let mut wallet = Wallet::new();
-            let guarantee: HashMap<VmId, Micros> =
-                (0..40).map(|i| (VmId::new(i), Micros(208_333))).collect();
-            let observations: Vec<_> = (0..40)
-                .flat_map(|i| {
-                    (0..2).map(move |j| vfc_controller::monitor::VcpuObservation {
-                        addr: VcpuAddr::new(VmId::new(i), VcpuId::new(j)),
-                        used: Micros(100_000),
-                        throttled: Micros::ZERO,
-                        last_cpu: vfc_simcore::CpuId::new(0),
-                        freq_est: vfc_simcore::MHz(240),
-                    })
-                })
-                .collect();
-            wallet.earn(&observations, &guarantee);
+            for i in 0..40 {
+                wallet.credit(VmId::new(i), 2 * 108_333);
+            }
             let mut market = Micros(4_000_000);
-            let mut buyers: Vec<Buyer> = observations
-                .iter()
-                .map(|o| Buyer {
-                    addr: o.addr,
-                    want: Micros(500_000),
+            let mut buyers: Vec<Buyer> = (0..40)
+                .flat_map(|i| {
+                    (0..2).map(move |j| Buyer {
+                        addr: VcpuAddr::new(VmId::new(i), VcpuId::new(j)),
+                        want: Micros(500_000),
+                    })
                 })
                 .collect();
             let mut alloc = HashMap::new();

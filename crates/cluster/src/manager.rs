@@ -901,7 +901,7 @@ impl ClusterManager {
     /// heuristic, skipping crashed nodes (and optionally one more — a
     /// migration source). Answered by the residual-capacity index in
     /// O(log n); `tests/placement_index_equivalence.rs` pins it
-    /// byte-identical to [`ClusterManager::place_with_linear`].
+    /// byte-identical to a linear scan over [`ClusterManager::node_loads`].
     fn place_with(
         &self,
         algorithm: PlacementAlgorithm,
@@ -914,32 +914,6 @@ impl ClusterManager {
             PlacementAlgorithm::FirstFit => self.index.first_fit(units, mem, exclude),
             PlacementAlgorithm::BestFit => self.index.best_fit(units, mem, exclude),
             PlacementAlgorithm::WorstFit => self.index.worst_fit(units, mem, exclude),
-        }
-    }
-
-    /// The pre-index O(n) bin scan, kept as the oracle for the
-    /// index-equivalence proptests. Not part of the public API.
-    #[doc(hidden)]
-    pub fn place_with_linear(
-        &self,
-        algorithm: PlacementAlgorithm,
-        request: &PlacementRequest,
-        exclude: Option<usize>,
-    ) -> Option<usize> {
-        let mode = self.strategy.constraint();
-        let mut candidates = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| Some(*i) != exclude && !n.is_down() && mode.fits(&n.bin, request));
-        match algorithm {
-            PlacementAlgorithm::FirstFit => candidates.next().map(|(i, _)| i),
-            PlacementAlgorithm::BestFit => candidates
-                .min_by_key(|(i, n)| (mode.remaining(&n.bin), *i))
-                .map(|(i, _)| i),
-            PlacementAlgorithm::WorstFit => candidates
-                .max_by_key(|(i, n)| (mode.remaining(&n.bin), usize::MAX - *i))
-                .map(|(i, _)| i),
         }
     }
 

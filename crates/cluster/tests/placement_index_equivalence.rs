@@ -2,7 +2,7 @@
 //!
 //! The O(log n) [`vfc_placement::index::ResidualIndex`] answers every
 //! placement question in the cluster manager; the pre-index O(n) bin
-//! scan is kept as `ClusterManager::place_with_linear`, the oracle.
+//! scan over `ClusterManager::node_loads` is kept here as the oracle.
 //! This proptest drives a manager through random deploy / undeploy /
 //! resize / fault-period sequences (crashes and repairs flow through
 //! `run_period`'s fault machinery) and, after every mutation, compares
@@ -13,10 +13,10 @@
 
 use proptest::prelude::*;
 use vfc_cluster::Strategy as ClusterStrategy;
-use vfc_cluster::{ClusterManager, FaultModel, GlobalVmId};
+use vfc_cluster::{ClusterManager, FaultModel, GlobalVmId, NodeLoad};
 use vfc_cpusched::topology::NodeSpec;
 use vfc_placement::algo::PlacementAlgorithm;
-use vfc_placement::PlacementRequest;
+use vfc_placement::{ConstraintMode, PlacementRequest};
 use vfc_simcore::MHz;
 use vfc_vmm::workload::SteadyDemand;
 use vfc_vmm::VmTemplate;
@@ -62,9 +62,66 @@ fn algorithm(a: u8) -> PlacementAlgorithm {
     }
 }
 
+/// The admission constraint the manager places under for `strategy`.
+fn constraint(strategy: ClusterStrategy) -> ConstraintMode {
+    match strategy {
+        ClusterStrategy::FrequencyControl | ClusterStrategy::FrequencyControlThrottleAware => {
+            ConstraintMode::Frequency
+        }
+        ClusterStrategy::MigrationBased { factor, .. } => ConstraintMode::CoreCount { factor },
+    }
+}
+
+/// The pre-index O(n) bin scan over `node_loads()`: the first, tightest
+/// or loosest up node (lowest index on ties) whose memory and `mode`
+/// residual both fit `request`.
+fn place_linear(
+    loads: &[NodeLoad],
+    mode: ConstraintMode,
+    algorithm: PlacementAlgorithm,
+    request: &PlacementRequest,
+    exclude: Option<usize>,
+) -> Option<usize> {
+    // (capacity, used, demand) in the mode's residual unit.
+    let units = |n: &NodeLoad| match mode {
+        ConstraintMode::CoreCount { factor } => (
+            (n.threads as f64 * factor).floor() as u64,
+            n.used_vcpus,
+            request.vcpus as u64,
+        ),
+        ConstraintMode::Frequency => (n.capacity_mhz, n.used_mhz, request.freq_demand_mhz()),
+        ConstraintMode::FrequencyFactor { factor } => (
+            (n.capacity_mhz as f64 * factor).floor() as u64,
+            n.used_mhz,
+            request.freq_demand_mhz(),
+        ),
+    };
+    let remaining = |n: &NodeLoad| {
+        let (cap, used, _) = units(n);
+        cap.saturating_sub(used)
+    };
+    let mut candidates = loads.iter().enumerate().filter(|(i, n)| {
+        let (cap, used, demand) = units(n);
+        Some(*i) != exclude
+            && n.up
+            && n.used_mem_gb + request.mem_gb as u64 <= n.mem_gb
+            && used + demand <= cap
+    });
+    match algorithm {
+        PlacementAlgorithm::FirstFit => candidates.next().map(|(i, _)| i),
+        PlacementAlgorithm::BestFit => candidates
+            .min_by_key(|(i, n)| (remaining(n), *i))
+            .map(|(i, _)| i),
+        PlacementAlgorithm::WorstFit => candidates
+            .max_by_key(|(i, n)| (remaining(n), usize::MAX - *i))
+            .map(|(i, _)| i),
+    }
+}
+
 /// Probe the index against the linear oracle across heuristics, sizes
 /// (fitting, tight, and impossible) and exclusions.
-fn assert_index_matches_oracle(mgr: &ClusterManager, ctx: &str) {
+fn assert_index_matches_oracle(mgr: &ClusterManager, mode: ConstraintMode, ctx: &str) {
+    let loads = mgr.node_loads();
     let probes = [
         PlacementRequest::new("p-small", 2, MHz(500), 4),
         PlacementRequest::new("p-medium", 4, MHz(1200), 8),
@@ -79,7 +136,7 @@ fn assert_index_matches_oracle(mgr: &ClusterManager, ctx: &str) {
     ] {
         for probe in &probes {
             for exclude in [None, Some(0), Some(mgr.node_count() / 2)] {
-                let oracle = mgr.place_with_linear(algo, probe, exclude);
+                let oracle = place_linear(&loads, mode, algo, probe, exclude);
                 let indexed = mgr.place_with_indexed(algo, probe, exclude);
                 assert_eq!(
                     oracle, indexed,
@@ -108,7 +165,8 @@ fn run_sequence(strategy: ClusterStrategy, seed: u64, crash_rate: f64, ops: &[Op
         })
         .collect();
     let mut mgr = ClusterManager::with_faults(specs, strategy, seed, faults);
-    assert_index_matches_oracle(&mgr, "fresh");
+    let mode = constraint(strategy);
+    assert_index_matches_oracle(&mgr, mode, "fresh");
     let mut live: Vec<GlobalVmId> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
@@ -136,7 +194,7 @@ fn run_sequence(strategy: ClusterStrategy, seed: u64, crash_rate: f64, ops: &[Op
             Op::Period => mgr.run_period(),
         }
         live.retain(|id| mgr.is_deployed(*id));
-        assert_index_matches_oracle(&mgr, &format!("step {step} ({op:?})"));
+        assert_index_matches_oracle(&mgr, mode, &format!("step {step} ({op:?})"));
     }
 }
 

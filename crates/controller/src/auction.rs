@@ -108,28 +108,11 @@ pub fn run_auction_with<F: FnMut(VcpuAddr, Micros)>(
     AuctionOutcome { sold, rounds }
 }
 
-/// Fold per-VM spent credits — what each buyer paid in this period's
-/// auction (Alg. 1), derived by the controller from wallet snapshots
-/// bracketing [`run_auction`] — into
-/// `vfc_credits_spent_usec_total{vm=...}`.
-pub fn record_telemetry(
-    spent: &[(vfc_simcore::VmId, u64)],
-    names: &HashMap<vfc_simcore::VmId, &str>,
-    metrics: &mut crate::telemetry::ControllerMetrics,
-) {
-    for (vm, amount) in spent {
-        if let Some(name) = names.get(vm) {
-            metrics.record_credits_spent(name, *amount);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::VcpuObservation;
     use proptest::prelude::*;
-    use vfc_simcore::{CpuId, MHz, VcpuId, VmId};
+    use vfc_simcore::{VcpuId, VmId};
 
     fn addr(vm: u32, j: u32) -> VcpuAddr {
         VcpuAddr::new(VmId::new(vm), VcpuId::new(j))
@@ -137,21 +120,9 @@ mod tests {
 
     fn wallet_with(balances: &[(u32, u64)]) -> Wallet {
         let mut w = Wallet::new();
-        let guarantee: HashMap<VmId, Micros> = balances
-            .iter()
-            .map(|(vm, bal)| (VmId::new(*vm), Micros(*bal)))
-            .collect();
-        let obs: Vec<VcpuObservation> = balances
-            .iter()
-            .map(|(vm, _)| VcpuObservation {
-                addr: addr(*vm, 0),
-                used: Micros::ZERO,
-                throttled: Micros::ZERO,
-                last_cpu: CpuId::new(0),
-                freq_est: MHz(0),
-            })
-            .collect();
-        w.earn(&obs, &guarantee);
+        for &(vm, balance) in balances {
+            w.credit(VmId::new(vm), balance);
+        }
         w
     }
 

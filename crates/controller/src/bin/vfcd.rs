@@ -1,13 +1,7 @@
 //! `vfcd` — the virtual frequency controller daemon.
 //!
-//! ```text
-//! vfcd [--config FILE] [--monitor-only] [--iterations N] [--verbose]
-//!      [--vfreq NAME=MHZ]... [--log-json FILE]
-//!      [--journal FILE] [--journal-interval N]
-//!      [--metrics FILE] [--metrics-addr HOST:PORT]
-//!      [--trace-dump FILE] [--trace-len N]
-//!      [--cgroup-root DIR --proc-root DIR --cpu-root DIR]
-//! ```
+//! The flags are listed in `vfc_controller::daemon::USAGE`, which
+//! `vfcd --help` prints.
 //!
 //! Without explicit roots it attaches to the live host
 //! (`/sys/fs/cgroup`, `/proc`, `/sys/devices/system/cpu`; cgroup v1 and
@@ -29,13 +23,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "vfcd — virtual frequency controller daemon\n\n\
-             usage: vfcd [--config FILE] [--monitor-only] [--iterations N]\n\
-                    [--verbose] [--vfreq NAME=MHZ]... [--log-json FILE]\n\
-                    [--journal FILE] [--journal-interval N]\n\
-                    [--metrics FILE] [--metrics-addr HOST:PORT]\n\
-                    [--trace-dump FILE] [--trace-len N]\n\
-                    [--cgroup-root DIR --proc-root DIR --cpu-root DIR]"
+            "vfcd — virtual frequency controller daemon\n\n{}",
+            daemon::USAGE
         );
         return ExitCode::SUCCESS;
     }

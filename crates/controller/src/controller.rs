@@ -1688,6 +1688,20 @@ mod tests {
     }
 
     #[test]
+    fn vm_without_guarantee_earns_nothing() {
+        // F_v = 0 gives C_i = 0: an idle VM has nothing under its
+        // guarantee to bank (Eq. 4).
+        let mut h = host(2);
+        let vm = h.provision(&VmTemplate::new("free", 1, MHz(0)));
+        h.attach_workload(vm, Box::new(IdleWorkload));
+        let mut ctl = Controller::new(ControllerConfig::paper_defaults(), h.topology_info());
+        for _ in 0..5 {
+            step(&mut h, &mut ctl);
+        }
+        assert_eq!(ctl.credit_of(vm), 0);
+    }
+
+    #[test]
     fn estimates_drive_caps_down_for_idle_vms() {
         let mut h = host(2);
         let vm = h.provision(&VmTemplate::new("small", 1, MHz(1200)));

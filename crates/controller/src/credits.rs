@@ -1,6 +1,8 @@
 //! Stage 3 — enforcing guaranteed cycles and earning credits (§III.B.3).
 //!
-//! Two things happen here:
+//! This module holds the credit [`Wallet`]. The stage-3 arithmetic runs
+//! in [`Controller::iterate_into`](crate::Controller::iterate_into) over
+//! its dense per-vCPU slots:
 //!
 //! 1. **Credits** (Eq. 4): a VM whose vCPUs consumed less than their
 //!    guaranteed cycles `C_i` earns the difference into its wallet. The
@@ -10,10 +12,7 @@
 //!    `c = min(e, C_i)` — its estimated need, but never more than its
 //!    guarantee (bursting beyond `C_i` is the auction's job, not a right).
 
-use crate::estimate::Estimate;
-use crate::monitor::VcpuObservation;
-use std::collections::HashMap;
-use vfc_simcore::{FastMap, Micros, VcpuAddr, VmId};
+use vfc_simcore::{FastMap, VmId};
 
 /// Per-VM credit wallets (µs of cycles).
 #[derive(Debug, Default)]
@@ -27,21 +26,8 @@ impl Wallet {
         Wallet::default()
     }
 
-    /// Apply Eq. 4: for every vCPU that consumed less than its guarantee,
-    /// credit the difference to its VM.
-    ///
-    /// `guarantee` maps each VM to its per-vCPU `C_i`.
-    pub fn earn(&mut self, observations: &[VcpuObservation], guarantee: &HashMap<VmId, Micros>) {
-        for obs in observations {
-            let c_i = guarantee.get(&obs.addr.vm).copied().unwrap_or(Micros::ZERO);
-            if c_i > obs.used {
-                *self.credits.entry(obs.addr.vm).or_insert(0) += (c_i - obs.used).as_u64();
-            }
-        }
-    }
-
-    /// Credit one VM directly (the per-slot Eq. 4 path: the controller
-    /// hot loop computes `C_i − u` itself and deposits the difference).
+    /// Credit one VM (Eq. 4: the controller's stage-3 loop computes
+    /// `C_i − u` per under-consuming vCPU and deposits the difference).
     pub fn credit(&mut self, vm: VmId, amount: u64) {
         if amount > 0 {
             *self.credits.entry(vm).or_insert(0) += amount;
@@ -111,97 +97,25 @@ impl Wallet {
     }
 }
 
-/// Apply Eq. 5: base allocation `c_{i,j,t} = min(e_{i,j,t}, C_i)`.
-pub fn base_allocations(
-    estimates: &[Estimate],
-    guarantee: &HashMap<VmId, Micros>,
-) -> HashMap<VcpuAddr, Micros> {
-    estimates
-        .iter()
-        .map(|e| {
-            let c_i = guarantee.get(&e.addr.vm).copied().unwrap_or(Micros::ZERO);
-            (e.addr, e.estimate.min(c_i))
-        })
-        .collect()
-}
-
-/// Fold per-VM minted credits — the Eq. 4 earnings of this period,
-/// derived by the controller from wallet snapshots bracketing
-/// [`Wallet::earn`] — into `vfc_credits_minted_usec_total{vm=...}`.
-pub fn record_telemetry(
-    minted: &[(VmId, u64)],
-    names: &HashMap<VmId, &str>,
-    metrics: &mut crate::telemetry::ControllerMetrics,
-) {
-    for (vm, amount) in minted {
-        if let Some(name) = names.get(vm) {
-            metrics.record_credits_minted(name, *amount);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::EstimateCase;
-    use vfc_simcore::{CpuId, MHz, VcpuId};
-
-    fn obs(vm: u32, vcpu: u32, used: u64) -> VcpuObservation {
-        VcpuObservation {
-            addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)),
-            used: Micros(used),
-            throttled: Micros::ZERO,
-            last_cpu: CpuId::new(0),
-            freq_est: MHz(0),
-        }
-    }
-
-    fn est(vm: u32, vcpu: u32, e: u64) -> Estimate {
-        Estimate {
-            addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)),
-            estimate: Micros(e),
-            case: EstimateCase::Stable,
-        }
-    }
-
-    #[test]
-    fn eq4_credits_underconsumption_only() {
-        let mut w = Wallet::new();
-        let guarantee: HashMap<VmId, Micros> = [
-            (VmId::new(0), Micros(200_000)),
-            (VmId::new(1), Micros(750_000)),
-        ]
-        .into();
-        // vm0: one frugal vCPU (+150k), one greedy (0).
-        // vm1: both above guarantee (0).
-        w.earn(
-            &[
-                obs(0, 0, 50_000),
-                obs(0, 1, 900_000),
-                obs(1, 0, 800_000),
-                obs(1, 1, 750_000),
-            ],
-            &guarantee,
-        );
-        assert_eq!(w.balance(VmId::new(0)), 150_000);
-        assert_eq!(w.balance(VmId::new(1)), 0);
-    }
 
     #[test]
     fn credits_accumulate_across_iterations() {
         let mut w = Wallet::new();
-        let guarantee: HashMap<VmId, Micros> = [(VmId::new(0), Micros(100_000))].into();
         for _ in 0..5 {
-            w.earn(&[obs(0, 0, 40_000)], &guarantee);
+            w.credit(VmId::new(0), 60_000);
         }
+        w.credit(VmId::new(0), 0);
         assert_eq!(w.balance(VmId::new(0)), 5 * 60_000);
+        assert_eq!(w.snapshot(), vec![(VmId::new(0), 5 * 60_000)]);
     }
 
     #[test]
     fn spend_never_overdraws() {
         let mut w = Wallet::new();
-        let guarantee: HashMap<VmId, Micros> = [(VmId::new(0), Micros(100_000))].into();
-        w.earn(&[obs(0, 0, 0)], &guarantee);
+        w.credit(VmId::new(0), 100_000);
         assert_eq!(w.spend(VmId::new(0), 30_000), 30_000);
         assert_eq!(w.spend(VmId::new(0), 100_000), 70_000);
         assert_eq!(w.spend(VmId::new(0), 1), 0);
@@ -209,29 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn vm_without_guarantee_earns_nothing() {
-        let mut w = Wallet::new();
-        w.earn(&[obs(3, 0, 0)], &HashMap::new());
-        assert_eq!(w.balance(VmId::new(3)), 0);
-    }
-
-    #[test]
-    fn eq5_base_is_min_of_estimate_and_guarantee() {
-        let guarantee: HashMap<VmId, Micros> = [(VmId::new(0), Micros(208_333))].into();
-        let alloc = base_allocations(&[est(0, 0, 100_000), est(0, 1, 900_000)], &guarantee);
-        let a = |j| alloc[&VcpuAddr::new(VmId::new(0), VcpuId::new(j))];
-        // Below guarantee: estimate wins.
-        assert_eq!(a(VcpuId::new(0).as_u32()), Micros(100_000));
-        // Above guarantee: capped at C_i — bursting is the auction's job.
-        assert_eq!(a(VcpuId::new(1).as_u32()), Micros(208_333));
-    }
-
-    #[test]
     fn retain_and_snapshot() {
         let mut w = Wallet::new();
-        let guarantee: HashMap<VmId, Micros> =
-            [(VmId::new(0), Micros(10)), (VmId::new(1), Micros(10))].into();
-        w.earn(&[obs(0, 0, 0), obs(1, 0, 0)], &guarantee);
+        w.credit(VmId::new(0), 10);
+        w.credit(VmId::new(1), 10);
         w.retain_vms(&[VmId::new(1)]);
         assert_eq!(w.balance(VmId::new(0)), 0);
         assert_eq!(w.snapshot(), vec![(VmId::new(1), 10)]);

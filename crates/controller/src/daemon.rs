@@ -161,7 +161,21 @@ fn validate_daemon(cfg: &DaemonConfig) -> Result<(), String> {
 /// Parse the config-file format described in the module docs.
 pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
     let mut cfg = DaemonConfig::default();
+    apply_config_file(&mut cfg, content)?;
+    cfg.controller
+        .validate()
+        .map_err(|e| format!("invalid controller parameters: {e}"))?;
+    validate_daemon(&cfg)?;
+    Ok(cfg)
+}
+
+/// Apply the keys a config file sets onto `cfg`. Keys the file leaves
+/// out keep their current value, so `vfcd --monitor-only --config f`
+/// stays monitor-only unless `f` sets `mode`. Validation is the
+/// caller's, once every source has been applied.
+fn apply_config_file(cfg: &mut DaemonConfig, content: &str) -> Result<(), String> {
     let mut in_vms = false;
+    let mut vm_names = HashSet::new();
     for (lineno, raw) in content.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -182,11 +196,12 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
             let mhz: u32 = value
                 .parse()
                 .map_err(|_| format!("line {}: bad frequency {value:?}", lineno + 1))?;
-            if cfg.vfreq.insert(key.to_owned(), MHz(mhz)).is_some() {
+            if !vm_names.insert(key) {
                 // A silently-overwritten guarantee is an operator error
                 // worth failing loudly on.
                 return Err(format!("line {}: duplicate VM name {key:?}", lineno + 1));
             }
+            cfg.vfreq.insert(key.to_owned(), MHz(mhz));
             continue;
         }
         let parse_f64 = |v: &str| -> Result<f64, String> {
@@ -309,25 +324,25 @@ pub fn parse_config_file(content: &str) -> Result<DaemonConfig, String> {
             other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
         }
     }
-    cfg.controller
-        .validate()
-        .map_err(|e| format!("invalid controller parameters: {e}"))?;
-    validate_daemon(&cfg)?;
-    Ok(cfg)
+    Ok(())
 }
 
-/// Parse command-line arguments (no external crate; the surface is tiny).
-///
-/// ```text
-/// vfcd [--config FILE] [--monitor-only] [--iterations N] [--verbose]
-///      [--deadline-budget FRAC] [--ladder-recovery N]
-///      [--lease-ttl N] [--lease-grace N]
-///      [--vfreq NAME=MHZ]... [--log-json FILE]
-///      [--journal FILE] [--journal-interval N]
-///      [--metrics FILE] [--metrics-addr HOST:PORT]
-///      [--trace-dump FILE] [--trace-len N]
-///      [--cgroup-root DIR --proc-root DIR --cpu-root DIR]
-/// ```
+/// The `vfcd` command line, as `vfcd --help` prints it. Every flag in
+/// it is one [`parse_args`] accepts.
+pub const USAGE: &str = "\
+usage: vfcd [--config FILE] [--monitor-only] [--iterations N] [--verbose]
+            [--deadline-budget FRAC] [--ladder-recovery N]
+            [--lease-ttl N] [--lease-grace N]
+            [--vfreq NAME=MHZ]... [--log-json FILE]
+            [--journal FILE] [--journal-interval N]
+            [--metrics FILE] [--metrics-addr HOST:PORT]
+            [--trace-dump FILE] [--trace-len N]
+            [--cgroup-root DIR --proc-root DIR --cpu-root DIR]";
+
+/// Parse command-line arguments (no external crate; the surface is
+/// tiny); the flags are listed in [`USAGE`]. Arguments apply left to
+/// right: `--config FILE` overrides only the keys the file sets, and a
+/// later flag overrides the file.
 pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     let mut cfg = DaemonConfig::default();
     let mut cgroup_root = None;
@@ -346,20 +361,7 @@ pub fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
                 let path = next(&mut i)?;
                 let content = std::fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let file_cfg = parse_config_file(&content)?;
-                // CLI flags seen later still override; merge file first.
-                cfg.controller = file_cfg.controller;
-                cfg.vfreq.extend(file_cfg.vfreq);
-                cfg.max_consecutive_errors = file_cfg.max_consecutive_errors;
-                cfg.discovery_retries = file_cfg.discovery_retries;
-                cfg.discovery_backoff = file_cfg.discovery_backoff;
-                cfg.journal_interval = file_cfg.journal_interval;
-                cfg.journal_path = file_cfg.journal_path.or(cfg.journal_path.take());
-                cfg.log_json = file_cfg.log_json.or(cfg.log_json.take());
-                cfg.metrics_path = file_cfg.metrics_path.or(cfg.metrics_path.take());
-                cfg.metrics_addr = file_cfg.metrics_addr.or(cfg.metrics_addr.take());
-                cfg.trace_dump = file_cfg.trace_dump.or(cfg.trace_dump.take());
-                cfg.trace_len = file_cfg.trace_len;
+                apply_config_file(&mut cfg, &content)?;
             }
             "--monitor-only" => cfg.controller.mode = ControlMode::MonitorOnly,
             "--deadline-budget" => {
@@ -1400,6 +1402,71 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("must differ"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn config_file_overrides_only_the_keys_it_sets() {
+        let dir = std::env::temp_dir().join(format!("vfcd-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("vfcd.conf");
+        let f = path.to_str().unwrap();
+
+        // Earlier flags survive a file that does not mention them.
+        std::fs::write(&path, "history_len = 5\n").unwrap();
+        let cfg = parse_args(&args(&[
+            "--monitor-only",
+            "--lease-ttl",
+            "30",
+            "--config",
+            f,
+        ]))
+        .unwrap();
+        assert_eq!(cfg.controller.mode, ControlMode::MonitorOnly);
+        assert_eq!(cfg.controller.cap_lease_ttl, 30);
+        assert_eq!(cfg.controller.history_len, 5);
+
+        // A key the file sets overrides an earlier flag; a later flag
+        // overrides the file.
+        std::fs::write(&path, "journal_path = b\n").unwrap();
+        let cfg = parse_args(&args(&["--journal", "a", "--config", f])).unwrap();
+        assert_eq!(cfg.journal_path, Some(PathBuf::from("b")));
+        let cfg = parse_args(&args(&["--config", f, "--journal", "a"])).unwrap();
+        assert_eq!(cfg.journal_path, Some(PathBuf::from("a")));
+
+        // The duplicate-name check stays within the file: a CLI
+        // `--vfreq` of the same VM is an override, not a duplicate.
+        std::fs::write(&path, "[vms]\nweb = 500\n").unwrap();
+        let cfg = parse_args(&args(&["--vfreq", "web=900", "--config", f])).unwrap();
+        assert_eq!(cfg.vfreq["web"], MHz(500));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted() {
+        let tokens: Vec<&str> = USAGE
+            .split_whitespace()
+            .map(|t| t.trim_matches(|c| c == '[' || c == ']' || c == '.'))
+            .collect();
+        let mut flags = 0;
+        for (i, flag) in tokens.iter().enumerate() {
+            if !flag.starts_with("--") {
+                continue;
+            }
+            flags += 1;
+            let mut argv = vec![*flag];
+            match tokens.get(i + 1).copied() {
+                Some("N") => argv.push("3"),
+                Some("FRAC") => argv.push("0.25"),
+                Some("NAME=MHZ") => argv.push("web=500"),
+                Some("HOST:PORT") => argv.push("127.0.0.1:9753"),
+                Some("FILE" | "DIR") => argv.push("vfcd-usage-probe"),
+                _ => {}
+            }
+            if let Err(e) = parse_args(&args(&argv)) {
+                assert!(!e.starts_with("unknown argument"), "{flag}: {e}");
+            }
+        }
+        assert_eq!(flags, 19, "every flag of USAGE was probed");
     }
 
     #[test]

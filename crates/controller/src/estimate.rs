@@ -207,52 +207,21 @@ impl Estimator {
         }
     }
 
-    /// Estimate next-period consumption for every observed vCPU.
+    /// Estimate next-period consumption for every observed vCPU, into a
+    /// caller-owned buffer (cleared first). Once `out`'s capacity has
+    /// grown to the vCPU count this performs no heap allocation in
+    /// steady state (history rings are created on first sighting only).
     ///
     /// `prev_alloc` is `c_{i,j,t-1}` — the capping the controller set last
     /// iteration; a vCPU without one (first sighting, or monitor-only
     /// operation) is treated as capped at the full period.
-    pub fn estimate(
-        &mut self,
-        cfg: &ControllerConfig,
-        observations: &[VcpuObservation],
-        prev_alloc: &FastMap<VcpuAddr, Micros>,
-    ) -> Vec<Estimate> {
-        let mut out = Vec::with_capacity(observations.len());
-        self.estimate_into(cfg, observations, prev_alloc, &mut out);
-        out
-    }
-
-    /// [`Estimator::estimate`] writing into a caller-owned buffer — the
-    /// hot-path entry point. `out` is cleared first; once its capacity
-    /// has grown to the vCPU count this performs no heap allocation in
-    /// steady state (history rings are created on first sighting only).
+    ///
+    /// Histories of departed vCPUs are not pruned here. The sharded
+    /// pipeline (`shard.rs`) runs that prune once per period, after
+    /// merging every shard: its trigger (`tracked > observed`) must
+    /// compare host-wide totals, or a vCPU skipped in one shard in the
+    /// same period another shard gained one would lose its history.
     pub fn estimate_into(
-        &mut self,
-        cfg: &ControllerConfig,
-        observations: &[VcpuObservation],
-        prev_alloc: &FastMap<VcpuAddr, Micros>,
-        out: &mut Vec<Estimate>,
-    ) {
-        self.estimate_into_unpruned(cfg, observations, prev_alloc, out);
-
-        // Forget vCPUs that disappeared. The membership check only runs
-        // when the tracked set is larger than the observed one, so the
-        // steady state never builds the HashSet.
-        if self.histories.len() > observations.len() {
-            let live: std::collections::HashSet<VcpuAddr> =
-                observations.iter().map(|o| o.addr).collect();
-            self.histories.retain(|addr, _| live.contains(addr));
-        }
-    }
-
-    /// [`Estimator::estimate_into`] minus the departed-vCPU prune. The
-    /// sharded pipeline calls this per shard and runs the prune *once,
-    /// globally* after merging (see `shard.rs`): the trigger condition
-    /// (`tracked > observed`) must compare host-wide totals, or a vCPU
-    /// skipped in one shard during the same period another shard gained
-    /// one would lose its history under sharding but keep it unsharded.
-    pub(crate) fn estimate_into_unpruned(
         &mut self,
         cfg: &ControllerConfig,
         observations: &[VcpuObservation],
@@ -435,6 +404,18 @@ mod tests {
         ControllerConfig::paper_defaults()
     }
 
+    /// One stage-2 pass into a fresh buffer.
+    fn estimate(
+        est: &mut Estimator,
+        c: &ControllerConfig,
+        observations: &[VcpuObservation],
+        prev_alloc: &FastMap<VcpuAddr, Micros>,
+    ) -> Vec<Estimate> {
+        let mut out = Vec::new();
+        est.estimate_into(c, observations, prev_alloc, &mut out);
+        out
+    }
+
     /// Run a sequence of consumptions through the estimator with a given
     /// constant previous cap; returns the per-step estimates.
     fn run(consumptions: &[u64], cap: u64) -> Vec<Estimate> {
@@ -444,7 +425,7 @@ mod tests {
         prev.insert(VcpuAddr::new(VmId::new(0), VcpuId::new(0)), Micros(cap));
         consumptions
             .iter()
-            .map(|&u| est.estimate(&c, &[obs(u)], &prev)[0])
+            .map(|&u| estimate(&mut est, &c, &[obs(u)], &prev)[0])
             .collect()
     }
 
@@ -527,7 +508,7 @@ mod tests {
         let mut last_estimates = Vec::new();
         for _ in 0..20 {
             prev.insert(addr, cap);
-            let e = est.estimate(&c, &[obs(300_000)], &prev)[0];
+            let e = estimate(&mut est, &c, &[obs(300_000)], &prev)[0];
             cap = e.estimate; // controller would apply the estimate
             last_estimates.push(e.estimate.as_u64());
         }
@@ -558,12 +539,12 @@ mod tests {
         let mut prev = FastMap::default();
         prev.insert(VcpuAddr::new(VmId::new(0), VcpuId::new(0)), Micros(900_000));
         // Increase case would give 1.8 s > period.
-        let _ = est.estimate(&c, &[obs(880_000)], &prev);
-        let e = est.estimate(&c, &[obs(900_000)], &prev);
+        let _ = estimate(&mut est, &c, &[obs(880_000)], &prev);
+        let e = estimate(&mut est, &c, &[obs(900_000)], &prev);
         assert!(e[0].estimate <= c.period);
         // Zero consumption floors at min_cap.
         let mut est = Estimator::new(&c);
-        let e = est.estimate(&c, &[obs(0)], &FastMap::default());
+        let e = estimate(&mut est, &c, &[obs(0)], &FastMap::default());
         assert_eq!(e[0].estimate, c.min_cap);
     }
 
@@ -583,12 +564,12 @@ mod tests {
 
         let paper = cfg();
         let mut est = Estimator::new(&paper);
-        let e = est.estimate(&paper, &[burst_obs], &prev)[0];
+        let e = estimate(&mut est, &paper, &[burst_obs], &prev)[0];
         assert_eq!(e.case, EstimateCase::Stable, "paper estimator is blind");
 
         let aware = ControllerConfig::throttle_aware();
         let mut est = Estimator::new(&aware);
-        let e = est.estimate(&aware, &[burst_obs], &prev)[0];
+        let e = estimate(&mut est, &aware, &[burst_obs], &prev)[0];
         assert_eq!(e.case, EstimateCase::Increase);
         assert_eq!(e.estimate, Micros(2_000), "cap × (1 + increase factor)");
     }
@@ -605,24 +586,8 @@ mod tests {
             throttled: Micros(100), // 0.1 % of the cap
             ..obs(60_000)
         };
-        let e = est.estimate(&aware, &[o], &prev)[0];
+        let e = estimate(&mut est, &aware, &[o], &prev)[0];
         assert_eq!(e.case, EstimateCase::Stable);
-    }
-
-    #[test]
-    fn stale_vcpus_are_dropped() {
-        let c = cfg();
-        let mut est = Estimator::new(&c);
-        est.estimate(&c, &[obs(1)], &FastMap::default());
-        let other = VcpuObservation {
-            addr: VcpuAddr::new(VmId::new(9), VcpuId::new(0)),
-            ..obs(1)
-        };
-        est.estimate(&c, &[other], &FastMap::default());
-        assert!(est
-            .history_of(VcpuAddr::new(VmId::new(0), VcpuId::new(0)))
-            .is_empty());
-        assert_eq!(est.history_of(other.addr), vec![1]);
     }
 
     proptest! {

@@ -15,6 +15,19 @@
 //! | 5. Distribute unsold cycles | [`distribute`] | §III.B.5 |
 //! | 6. Apply `cpu.max` capping | [`apply`] | §III.B.6 |
 //!
+//! Each stage has one implementation, and [`Controller::iterate_into`]
+//! runs all six. Stages 1–2 run per shard in the controller's sharded
+//! pipeline: it lists the VM inventory, calls
+//! [`monitor::Monitor::observe_listed`] and
+//! [`estimate::Estimator::estimate_into`] on each shard, and merges the
+//! shards in inventory order. Stages 3–6 run in
+//! [`Controller::iterate_into`] itself over dense per-vCPU slots: the
+//! Eq. 4 credits and Eq. 5 base capping, the auction through
+//! [`auction::run_auction_with`], free distribution through
+//! [`distribute::distribute_leftovers_with`], and the sorted `cpu.max`
+//! writes through [`apply::allocation_to_cpu_max`]. The stage modules
+//! hold the state and arithmetic those calls use.
+//!
 //! The loop is generic over [`vfc_cgroupfs::HostBackend`], so the same
 //! controller drives the simulated host (`vfc_vmm::SimHost`) and a real
 //! cgroup-v2 machine (`vfc_cgroupfs::fs::FsBackend`).
@@ -55,7 +68,6 @@ pub use controller::{
     Controller, HealthReport, HealthTotals, IterationReport, LadderRung, LeaseState, StageTimings,
     VcpuReport,
 };
-pub use monitor::MonitorOutcome;
 pub use persist::{Journal, LoadOutcome, JOURNAL_VERSION};
 pub use telemetry::{ControllerMetrics, Stage};
 pub use vfreq::{cycles_to_freq, guaranteed_cycles};

@@ -14,8 +14,8 @@
 //! 1. a read error whose [`vfc_cgroupfs::CgroupError::is_vanished`] is
 //!    true marks the
 //!    whole VM as gone — its cgroup subtree was removed between the
-//!    `vms()` enumeration and our reads — and drops it from this
-//!    iteration's inventory;
+//!    `vms()` enumeration and our reads — and drops its observations
+//!    and per-vCPU state for this iteration;
 //! 2. any other read error falls back to the vCPU's last good
 //!    observation, as long as it is at most
 //!    [`stale_sample_ttl`](crate::ControllerConfig::stale_sample_ttl)
@@ -46,24 +46,6 @@ pub struct VcpuObservation {
     pub freq_est: MHz,
 }
 
-/// What stage 1 produced, including its degradation bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorOutcome {
-    /// VM inventory, with vanished VMs already removed.
-    pub vms: Vec<VmCgroupInfo>,
-    /// One observation per readable vCPU (fresh or stale).
-    pub observations: Vec<VcpuObservation>,
-    /// Per-vCPU read errors encountered (vanished VMs not included).
-    pub read_errors: u32,
-    /// vCPUs answered from the stale-sample cache this iteration.
-    pub stale_reused: Vec<VcpuAddr>,
-    /// vCPUs with no observation this iteration (read failed, no
-    /// reusable sample). They keep their current capping.
-    pub skipped: Vec<VcpuAddr>,
-    /// VMs that disappeared between enumeration and reads.
-    pub vanished: Vec<VmId>,
-}
-
 /// Per-vCPU monitor state detached from one shard's [`Monitor`] during
 /// repartitioning, waiting to be re-absorbed by the new owner shards
 /// (see [`Monitor::take_state`] / [`Monitor::absorb_state`]).
@@ -84,27 +66,16 @@ impl MonitorState {
 }
 
 /// Stage-1 state: previous cumulative counters plus the last good
-/// observation per vCPU (for bounded stale reuse), and the cached VM
-/// inventory with this period's observation buffers — all updated in
-/// place so a steady-state `observe_in_place` call performs no heap
-/// allocation.
+/// observation per vCPU (for bounded stale reuse), and this period's
+/// observation buffers — all updated in place so a steady-state
+/// [`Monitor::observe_listed`] call performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct Monitor {
     prev_usage: FastMap<VcpuAddr, Micros>,
     prev_throttled: FastMap<VcpuAddr, Micros>,
     /// Last successful observation and its age in periods (0 = produced
-    /// by the previous `observe` call).
+    /// by the previous `observe_listed` call).
     last_good: FastMap<VcpuAddr, (VcpuObservation, u32)>,
-    /// Cached `vms()` listing, vanished VMs removed. Refreshed only when
-    /// the backend's [`HostBackend::vms_epoch`] moves (or is `None`).
-    inventory: Vec<VmCgroupInfo>,
-    /// The epoch `inventory` was listed at.
-    inventory_epoch: Option<u64>,
-    /// Whether `inventory` has been listed at least once.
-    listed_once: bool,
-    /// Bumped whenever `inventory` *contents* change — downstream dense
-    /// slot tables key their rebuilds off this.
-    generation: u64,
     // This period's outputs, reused across calls.
     observations: Vec<VcpuObservation>,
     read_errors: u32,
@@ -119,100 +90,19 @@ impl Monitor {
         Monitor::default()
     }
 
-    /// Read the host. The first observation of a vCPU reports `used = 0`
-    /// (there is no previous sample to difference against). Never fails:
-    /// per-vCPU errors degrade per the module docs, and `stale_ttl`
-    /// bounds how many periods a cached sample may substitute for a
-    /// failed read.
+    /// Read every vCPU of every VM in `vms`, in order, through one
+    /// batched [`HostBackend::read_vcpu_raw`] pass, filling the output
+    /// buffers and updating baselines/last-good state. The first
+    /// observation of a vCPU reports `used = 0` (there is no previous
+    /// sample to difference against). Never fails: per-vCPU errors
+    /// degrade per the module docs, and `stale_ttl` bounds how many
+    /// periods a cached sample may substitute for a failed read.
     ///
-    /// This is the allocating convenience wrapper around
-    /// [`Monitor::observe_in_place`]; the controller hot path uses the
-    /// latter plus the accessor methods.
-    pub fn observe<B: HostBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        period: Micros,
-        stale_ttl: u32,
-    ) -> MonitorOutcome {
-        self.observe_in_place(backend, period, stale_ttl);
-        MonitorOutcome {
-            vms: self.inventory.clone(),
-            observations: self.observations.clone(),
-            read_errors: self.read_errors,
-            stale_reused: self.stale_reused.clone(),
-            skipped: self.skipped.clone(),
-            vanished: self.vanished.clone(),
-        }
-    }
-
-    /// Re-list the inventory if the backend cannot prove it unchanged.
-    /// Returns true when the cached contents changed (generation bump).
-    fn refresh_inventory<B: HostBackend + ?Sized>(&mut self, backend: &B) -> bool {
-        let epoch = backend.vms_epoch();
-        if self.listed_once && epoch.is_some() && epoch == self.inventory_epoch {
-            return false; // proven unchanged: skip the allocating re-list
-        }
-        let vms = backend.vms();
-        self.inventory_epoch = epoch;
-        self.listed_once = true;
-        if vms != self.inventory {
-            self.inventory = vms;
-            self.generation = self.generation.wrapping_add(1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// [`Monitor::observe`] without constructing a [`MonitorOutcome`]:
-    /// results land in buffers reused across periods, readable through
-    /// [`Monitor::observations`] and friends. In steady state (inventory
-    /// unchanged, no errors) this performs zero heap allocations.
-    pub fn observe_in_place<B: HostBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        period: Micros,
-        stale_ttl: u32,
-    ) {
-        let mut changed = self.refresh_inventory(backend);
-        // The read loop wants the inventory as a plain slice while it
-        // mutates the per-vCPU maps; detach it for the duration (a
-        // pointer swap, not a copy).
-        let inventory = std::mem::take(&mut self.inventory);
-        self.observe_listed(backend, &inventory, period, stale_ttl);
-        self.inventory = inventory;
-
-        if !self.vanished.is_empty() {
-            let vanished = std::mem::take(&mut self.vanished);
-            self.inventory.retain(|v| !vanished.contains(&v.vm));
-            self.vanished = vanished;
-            // Force a re-list next period: the backend's epoch may not
-            // move for a vanish it does not know about (fault layers).
-            self.inventory_epoch = None;
-            self.listed_once = false;
-            self.generation = self.generation.wrapping_add(1);
-            changed = true;
-        }
-
-        // Drop state for departed vCPUs — only worth scanning when the
-        // membership actually changed.
-        if changed {
-            let inventory = std::mem::take(&mut self.inventory);
-            self.retain_members(&inventory);
-            self.inventory = inventory;
-        }
-    }
-
-    /// The stage-1 read loop over an externally-owned VM list — the
-    /// shard-callable core of [`Monitor::observe_in_place`]. Reads every
-    /// vCPU of every VM in `vms` (in order, through one batched
-    /// [`HostBackend::read_vcpu_raw`] pass), filling the output buffers
-    /// and updating baselines/last-good state. Vanished VMs land in
+    /// The caller owns the VM listing. Vanished VMs land in
     /// [`Monitor::vanished`] with their per-vCPU state dropped; the
-    /// caller owns `vms` and decides what the vanish means for the
-    /// inventory (the unsharded path prunes its own cached listing, the
-    /// sharded pipeline reports it to the global lister).
-    pub(crate) fn observe_listed<B: HostBackend + ?Sized>(
+    /// controller's sharded pipeline then removes them from its
+    /// inventory.
+    pub fn observe_listed<B: HostBackend + ?Sized>(
         &mut self,
         backend: &B,
         vms: &[VmCgroupInfo],
@@ -276,8 +166,7 @@ impl Monitor {
     }
 
     /// Drop per-vCPU state for addresses outside `vms` — the membership
-    /// cleanup half of [`Monitor::observe_in_place`], also used by the
-    /// sharded pipeline after repartitioning.
+    /// cleanup the sharded pipeline runs after repartitioning.
     pub(crate) fn retain_members(&mut self, vms: &[VmCgroupInfo]) {
         let live = |a: &VcpuAddr| {
             vms.iter()
@@ -286,17 +175,6 @@ impl Monitor {
         self.prev_usage.retain(|a, _| live(a));
         self.prev_throttled.retain(|a, _| live(a));
         self.last_good.retain(|a, _| live(a));
-    }
-
-    /// The cached VM inventory (vanished VMs removed), as of the last
-    /// [`Monitor::observe_in_place`] call.
-    pub fn inventory(&self) -> &[VmCgroupInfo] {
-        &self.inventory
-    }
-
-    /// Bumped whenever [`Monitor::inventory`] contents change.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// This period's observations (fresh or stale), one per readable vCPU.
@@ -446,35 +324,11 @@ impl Monitor {
         self.prev_usage.retain(|a, _| a.vm != vm);
         self.prev_throttled.retain(|a, _| a.vm != vm);
         self.last_good.retain(|a, _| a.vm != vm);
-        if self.inventory.iter().any(|v| v.vm == vm) {
-            self.inventory.retain(|v| v.vm != vm);
-            self.generation = self.generation.wrapping_add(1);
-            // The backend may not bump its epoch for a vanish it never
-            // saw; force a real re-list next period.
-            self.inventory_epoch = None;
-            self.listed_once = false;
-        }
-    }
-}
-
-impl MonitorOutcome {
-    /// Fold this outcome into the controller's telemetry: the inventory
-    /// gauges (`vfc_vms`, `vfc_vcpus`) plus the stage-1 degradation
-    /// counters (read errors, stale reuse, skips, vanished VMs).
-    pub fn record_telemetry(&self, metrics: &mut crate::telemetry::ControllerMetrics) {
-        metrics.record_monitor(
-            self.vms.len() as u64,
-            self.vms.iter().map(|v| v.nr_vcpus as u64).sum(),
-            self.read_errors as u64,
-            self.stale_reused.len() as u64,
-            self.skipped.len() as u64,
-            self.vanished.len() as u64,
-        );
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
     use std::collections::HashMap;
@@ -482,21 +336,26 @@ mod tests {
     use vfc_cgroupfs::model::CpuMax;
     use vfc_simcore::{Tid, VmId};
 
-    /// Minimal scripted backend for stage-level tests.
-    struct FakeBackend {
-        vms: Vec<VmCgroupInfo>,
+    /// Minimal scripted backend for stage-level tests (also drives the
+    /// sharded pipeline's tests).
+    pub(crate) struct FakeBackend {
+        pub(crate) vms: Vec<VmCgroupInfo>,
         usage: HashMap<VcpuAddr, Micros>,
         freqs: Vec<MHz>,
         placement: HashMap<Tid, CpuId>,
         /// Fail `vcpu_usage` for these addresses with this error kind.
-        fail_usage: HashMap<VcpuAddr, std::io::ErrorKind>,
+        pub(crate) fail_usage: HashMap<VcpuAddr, std::io::ErrorKind>,
         /// Every per-vCPU read of this VM reports its cgroup as gone.
-        vanished: Option<VmId>,
-        usage_reads: Cell<u32>,
+        pub(crate) vanished: Option<VmId>,
+        /// What `vms_epoch` reports (`None`: listing never provably
+        /// unchanged).
+        pub(crate) epoch: Option<u64>,
+        /// Number of `vms()` listings served.
+        pub(crate) listings: Cell<u32>,
     }
 
     impl FakeBackend {
-        fn new(nr_vms: u32, vcpus: u32) -> Self {
+        pub(crate) fn new(nr_vms: u32, vcpus: u32) -> Self {
             let vms = (0..nr_vms)
                 .map(|i| VmCgroupInfo {
                     vm: VmId::new(i),
@@ -512,11 +371,12 @@ mod tests {
                 placement: HashMap::new(),
                 fail_usage: HashMap::new(),
                 vanished: None,
-                usage_reads: Cell::new(0),
+                epoch: None,
+                listings: Cell::new(0),
             }
         }
 
-        fn bump(&mut self, vm: u32, vcpu: u32, by: Micros) {
+        pub(crate) fn bump(&mut self, vm: u32, vcpu: u32, by: Micros) {
             *self
                 .usage
                 .entry(VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu)))
@@ -532,10 +392,13 @@ mod tests {
             }
         }
         fn vms(&self) -> Vec<VmCgroupInfo> {
+            self.listings.set(self.listings.get() + 1);
             self.vms.clone()
         }
+        fn vms_epoch(&self) -> Option<u64> {
+            self.epoch
+        }
         fn vcpu_usage(&self, vm: VmId, vcpu: VcpuId) -> Result<Micros> {
-            self.usage_reads.set(self.usage_reads.get() + 1);
             if self.vanished == Some(vm) {
                 return Err(CgroupError::NoSuchGroup(format!("{vm}.scope")));
             }
@@ -573,33 +436,38 @@ mod tests {
 
     const TTL: u32 = 2;
 
+    /// One stage-1 pass over the backend's current listing.
+    fn observe(mon: &mut Monitor, backend: &FakeBackend, stale_ttl: u32) {
+        mon.observe_listed(backend, &backend.vms, Micros::SEC, stale_ttl);
+    }
+
     #[test]
     fn first_observation_is_zero_then_deltas() {
         let mut backend = FakeBackend::new(1, 1);
         backend.bump(0, 0, Micros(5_000_000)); // pre-existing usage
         let mut mon = Monitor::new();
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros::ZERO, "no baseline yet");
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros::ZERO, "no baseline yet");
 
         backend.bump(0, 0, Micros(300_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros(300_000));
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros(300_000));
 
         backend.bump(0, 0, Micros(700_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros(700_000));
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros(700_000));
     }
 
     #[test]
     fn freq_estimate_combines_share_and_core_freq() {
         let mut backend = FakeBackend::new(1, 1);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         // Half the period on a 2.4 GHz core → 1200 MHz.
         backend.bump(0, 0, Micros(500_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].freq_est, MHz(1200));
-        assert_eq!(out.observations[0].last_cpu, CpuId::new(0));
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].freq_est, MHz(1200));
+        assert_eq!(mon.observations()[0].last_cpu, CpuId::new(0));
     }
 
     #[test]
@@ -608,34 +476,37 @@ mod tests {
         backend.freqs = vec![MHz(2400), MHz(1200)];
         backend.placement.insert(Tid::new(0), CpuId::new(1));
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         backend.bump(0, 0, Micros(1_000_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         // Full share of a 1.2 GHz core.
-        assert_eq!(out.observations[0].freq_est, MHz(1200));
+        assert_eq!(mon.observations()[0].freq_est, MHz(1200));
     }
 
     #[test]
     fn all_vcpus_of_all_vms_observed() {
         let backend = FakeBackend::new(3, 2);
         let mut mon = Monitor::new();
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.vms.len(), 3);
-        assert_eq!(out.observations.len(), 6);
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations().len(), 6);
         assert_eq!(mon.tracked(), 6);
-        assert_eq!(out.read_errors, 0);
-        assert!(out.skipped.is_empty() && out.vanished.is_empty());
+        assert_eq!(mon.read_errors(), 0);
+        assert!(mon.skipped().is_empty() && mon.vanished().is_empty());
     }
 
     #[test]
     fn departed_vcpus_are_forgotten() {
-        let mut backend = FakeBackend::new(2, 1);
+        let mut backend = FakeBackend::new(2, 2);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(mon.tracked(), 2);
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.tracked(), 4);
+        // One VM departs, the other shrinks to one vCPU.
         backend.vms.pop();
-        mon.observe(&backend, Micros::SEC, TTL);
+        backend.vms[0].nr_vcpus = 1;
+        mon.retain_members(&backend.vms);
         assert_eq!(mon.tracked(), 1);
+        let kept = VcpuAddr::new(VmId::new(0), VcpuId::new(0));
+        assert!(mon.usage_baseline(kept).is_some());
     }
 
     #[test]
@@ -645,10 +516,10 @@ mod tests {
         let mut backend = FakeBackend::new(1, 1);
         backend.bump(0, 0, Micros(1_000_000));
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         backend.usage.clear(); // counter reset
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros::ZERO);
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros::ZERO);
     }
 
     #[test]
@@ -656,10 +527,10 @@ mod tests {
         let addr = VcpuAddr::new(VmId::new(0), VcpuId::new(0));
         let mut backend = FakeBackend::new(1, 1);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         backend.bump(0, 0, Micros(400_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros(400_000));
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros(400_000));
 
         // The read starts failing: the 400 000 sample is replayed for
         // TTL periods, then the vCPU is skipped.
@@ -667,23 +538,23 @@ mod tests {
             .fail_usage
             .insert(addr, std::io::ErrorKind::Interrupted);
         for i in 0..TTL {
-            let out = mon.observe(&backend, Micros::SEC, TTL);
-            assert_eq!(out.read_errors, 1, "period {i}");
-            assert_eq!(out.stale_reused, vec![addr]);
-            assert_eq!(out.observations[0].used, Micros(400_000));
-            assert!(out.skipped.is_empty());
+            observe(&mut mon, &backend, TTL);
+            assert_eq!(mon.read_errors(), 1, "period {i}");
+            assert_eq!(mon.stale_reused(), [addr]);
+            assert_eq!(mon.observations()[0].used, Micros(400_000));
+            assert!(mon.skipped().is_empty());
         }
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert!(out.observations.is_empty(), "sample too old to reuse");
-        assert_eq!(out.skipped, vec![addr]);
+        observe(&mut mon, &backend, TTL);
+        assert!(mon.observations().is_empty(), "sample too old to reuse");
+        assert_eq!(mon.skipped(), [addr]);
 
         // Recovery: the next real read differences against the last
         // *real* counter value, not against garbage.
         backend.fail_usage.clear();
         backend.bump(0, 0, Micros(250_000));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.observations[0].used, Micros(250_000));
-        assert!(out.skipped.is_empty() && out.stale_reused.is_empty());
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.observations()[0].used, Micros(250_000));
+        assert!(mon.skipped().is_empty() && mon.stale_reused().is_empty());
     }
 
     #[test]
@@ -691,13 +562,13 @@ mod tests {
         let addr = VcpuAddr::new(VmId::new(0), VcpuId::new(0));
         let mut backend = FakeBackend::new(1, 1);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, 0);
+        observe(&mut mon, &backend, 0);
         backend
             .fail_usage
             .insert(addr, std::io::ErrorKind::ResourceBusy);
-        let out = mon.observe(&backend, Micros::SEC, 0);
-        assert_eq!(out.skipped, vec![addr]);
-        assert!(out.stale_reused.is_empty());
+        observe(&mut mon, &backend, 0);
+        assert_eq!(mon.skipped(), [addr]);
+        assert!(mon.stale_reused().is_empty());
     }
 
     #[test]
@@ -705,19 +576,18 @@ mod tests {
         let addr = VcpuAddr::new(VmId::new(0), VcpuId::new(1));
         let mut backend = FakeBackend::new(2, 2);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, 0);
+        observe(&mut mon, &backend, 0);
         backend
             .fail_usage
             .insert(addr, std::io::ErrorKind::TimedOut);
         for (vm, vcpu) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             backend.bump(vm, vcpu, Micros(100_000));
         }
-        let out = mon.observe(&backend, Micros::SEC, 0);
-        assert_eq!(out.vms.len(), 2);
-        assert_eq!(out.observations.len(), 3);
-        assert_eq!(out.skipped, vec![addr]);
-        assert!(out
-            .observations
+        observe(&mut mon, &backend, 0);
+        assert_eq!(mon.observations().len(), 3);
+        assert_eq!(mon.skipped(), [addr]);
+        assert!(mon
+            .observations()
             .iter()
             .all(|o| o.used == Micros(100_000) && o.addr != addr));
     }
@@ -726,28 +596,32 @@ mod tests {
     fn vanished_vm_is_dropped_with_its_partial_observations() {
         let mut backend = FakeBackend::new(2, 2);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         assert_eq!(mon.tracked(), 4);
+        backend.bump(0, 0, Micros(500_000));
         backend.vanished = Some(VmId::new(0));
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert_eq!(out.vanished, vec![VmId::new(0)]);
-        assert_eq!(out.vms.len(), 1, "vanished VM removed from inventory");
-        assert_eq!(out.vms[0].vm, VmId::new(1));
-        assert_eq!(out.observations.len(), 2, "only the live VM's vCPUs");
-        assert!(out.observations.iter().all(|o| o.addr.vm == VmId::new(1)));
+        observe(&mut mon, &backend, TTL);
+        assert_eq!(mon.vanished(), [VmId::new(0)]);
+        assert_eq!(mon.observations().len(), 2, "only the live VM's vCPUs");
+        assert!(mon.observations().iter().all(|o| o.addr.vm == VmId::new(1)));
         assert_eq!(mon.tracked(), 2);
         // No stale resurrection: the vanished VM left no reusable samples.
         backend.vanished = None;
-        let out = mon.observe(&backend, Micros::SEC, TTL);
-        assert!(out.vanished.is_empty());
-        assert_eq!(out.observations.len(), 4, "VM re-observed from scratch");
+        observe(&mut mon, &backend, TTL);
+        assert!(mon.vanished().is_empty());
+        assert_eq!(mon.observations().len(), 4, "VM re-observed from scratch");
+        assert_eq!(
+            mon.observations()[0].used,
+            Micros::ZERO,
+            "the vanished baseline is gone"
+        );
     }
 
     #[test]
     fn forget_vm_clears_all_state() {
         let backend = FakeBackend::new(2, 2);
         let mut mon = Monitor::new();
-        mon.observe(&backend, Micros::SEC, TTL);
+        observe(&mut mon, &backend, TTL);
         assert_eq!(mon.tracked(), 4);
         mon.forget_vm(VmId::new(0));
         assert_eq!(mon.tracked(), 2);

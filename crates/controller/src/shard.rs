@@ -26,8 +26,9 @@
 //!   vCPUs whose histories outnumber this period's observations; that
 //!   trigger must compare *host-wide* totals. A shard-local comparison
 //!   would fire when a vCPU skip in one shard coincides with an arrival
-//!   in another, pruning a history the unsharded loop keeps. See
-//!   [`Estimator::estimate_into_unpruned`].
+//!   in another, pruning a history the unsharded loop keeps. So
+//!   [`Estimator::estimate_into`] never prunes, and [`ShardedPipeline::run`]
+//!   prunes once, after the merge.
 //! * **Fault-injection draws stay ordered.** The sequential runner
 //!   visits shards in order, so a non-`Sync` fault-injecting backend
 //!   observes the exact per-vCPU read sequence of the unsharded loop
@@ -36,9 +37,9 @@
 //!
 //! # Repartitioning
 //!
-//! The pipeline owns the inventory lister (the epoch-gated `vms()`
-//! cache that used to live in the single [`Monitor`]). Whenever the
-//! inventory generation moves — arrival, departure, resize, vanish —
+//! The pipeline is the controller's only inventory lister: an
+//! epoch-gated cache of `vms()`, re-listed only when the backend cannot
+//! prove it unchanged. Whenever the inventory generation moves — arrival, departure, resize, vanish —
 //! the next period rebuilds the partition and migrates every vCPU's
 //! monitor baselines, stale-sample cache and estimator history to its
 //! new owner shard *by move*, so deltas and trends survive the reshard
@@ -96,7 +97,7 @@ impl Shard {
             .observe_listed(backend, &self.vms, cfg.period, cfg.stale_sample_ttl);
         self.mon_time = t.elapsed();
         let t = Instant::now();
-        self.estimator.estimate_into_unpruned(
+        self.estimator.estimate_into(
             cfg,
             self.monitor.observations(),
             prev_alloc,
@@ -154,8 +155,7 @@ pub(crate) fn run_shards_parallel<B: HostBackend + Sync + ?Sized>(
 
 /// The sharded stage-1/2 pipeline: the inventory lister, the shard set,
 /// and the merged per-period outputs stages 3–6 consume. Owned by
-/// [`crate::Controller`] in place of the former single
-/// monitor/estimator pair.
+/// [`crate::Controller`].
 pub(crate) struct ShardedPipeline {
     shards: Vec<Shard>,
     /// Host-wide VM inventory (vanished VMs removed), in listing order.
@@ -265,7 +265,7 @@ impl ShardedPipeline {
                 .estimator
                 .absorb_histories(&mut hist_pool, |vm| owner.get(&vm) == Some(&(k as u32)));
             // A VM may have shrunk: drop baselines of vCPU indices past
-            // its new size (the unsharded loop's membership cleanup).
+            // its new size.
             shard.monitor.retain_members(&shard.vms);
         }
 
@@ -404,10 +404,9 @@ impl ShardedPipeline {
     }
 
     // ---- journal / resize plumbing ------------------------------------
-    // Cold-path routing of the operations the controller used to aim at
-    // its single monitor/estimator pair. Seeds land in shard 0 (the
-    // staging shard before the first run); the next repartition migrates
-    // them to their owner shards.
+    // Cold-path routing of per-vCPU state operations to the owning
+    // shard. Seeds land in shard 0 (the staging shard before the first
+    // run); the next repartition migrates them to their owner shards.
 
     /// Seed a vCPU's estimator history (warm restart).
     pub(crate) fn seed_history(&mut self, addr: VcpuAddr, samples: &[u64]) {
@@ -593,5 +592,140 @@ mod tests {
         assert_eq!(exported.len(), 2);
         assert_eq!(exported[0].0, a);
         assert_eq!(exported[1].0, b);
+    }
+
+    /// One sequential stage-1/2 pass of `p` over `backend`.
+    fn run(
+        p: &mut ShardedPipeline,
+        backend: &crate::monitor::tests::FakeBackend,
+        cfg: &ControllerConfig,
+    ) -> Vec<Estimate> {
+        let mut estimates = Vec::new();
+        p.run(
+            backend,
+            cfg,
+            &FastMap::default(),
+            &mut estimates,
+            run_shards_sequential,
+        );
+        estimates
+    }
+
+    fn two_shards() -> ControllerConfig {
+        let mut cfg = ControllerConfig::paper_defaults();
+        cfg.shard_count = crate::config::ShardCount::Fixed(2);
+        cfg
+    }
+
+    fn addr(vm: u32, vcpu: u32) -> VcpuAddr {
+        VcpuAddr::new(VmId::new(vm), VcpuId::new(vcpu))
+    }
+
+    #[test]
+    fn lister_relists_only_when_the_epoch_cannot_prove_it_unchanged() {
+        let cfg = two_shards();
+        let mut backend = crate::monitor::tests::FakeBackend::new(2, 1);
+        let mut p = ShardedPipeline::new(&cfg);
+        // No epoch: every period re-lists; same contents, same generation.
+        run(&mut p, &backend, &cfg);
+        let generation = p.generation();
+        run(&mut p, &backend, &cfg);
+        assert_eq!(backend.listings.get(), 2);
+        assert_eq!(p.generation(), generation);
+        // A stable epoch skips the listing after one real re-list.
+        backend.epoch = Some(7);
+        run(&mut p, &backend, &cfg);
+        run(&mut p, &backend, &cfg);
+        assert_eq!(backend.listings.get(), 3);
+        // A moved epoch re-lists; new contents bump the generation and
+        // repartition.
+        backend.vms.pop();
+        backend.epoch = Some(8);
+        let repartitions = p.repartitions();
+        run(&mut p, &backend, &cfg);
+        assert_eq!(backend.listings.get(), 4);
+        assert_eq!(p.generation(), generation + 1);
+        assert_eq!(p.repartitions(), repartitions + 1);
+        assert_eq!(p.inventory().len(), 1);
+        assert_eq!(p.observations().len(), 1);
+    }
+
+    #[test]
+    fn vanished_vm_leaves_the_inventory_and_forces_a_relist() {
+        let cfg = two_shards();
+        let mut backend = crate::monitor::tests::FakeBackend::new(2, 2);
+        backend.epoch = Some(1);
+        let mut p = ShardedPipeline::new(&cfg);
+        run(&mut p, &backend, &cfg);
+        run(&mut p, &backend, &cfg);
+        assert_eq!(p.export_histories().len(), 4);
+        let generation = p.generation();
+
+        // VM 0's cgroups vanish, but the backend's epoch does not move.
+        backend.vanished = Some(VmId::new(0));
+        run(&mut p, &backend, &cfg);
+        assert_eq!(p.vanished(), [VmId::new(0)]);
+        assert_eq!(p.inventory().len(), 1, "vanished VM removed from inventory");
+        assert_eq!(p.inventory()[0].vm, VmId::new(1));
+        assert_eq!(p.generation(), generation + 1);
+        assert!(p.observations().iter().all(|o| o.addr.vm == VmId::new(1)));
+        assert_eq!(p.usage_baseline(addr(0, 0)), None);
+        assert!(
+            p.export_histories()
+                .iter()
+                .all(|(a, _)| a.vm == VmId::new(1)),
+            "the global prune drops the vanished VM's histories"
+        );
+
+        // The next period re-lists despite the unchanged epoch, and the
+        // VM is observed again from scratch.
+        let listings = backend.listings.get();
+        backend.vanished = None;
+        run(&mut p, &backend, &cfg);
+        assert_eq!(backend.listings.get(), listings + 1);
+        assert!(p.vanished().is_empty());
+        assert_eq!(p.inventory().len(), 2);
+        assert_eq!(p.observations().len(), 4);
+    }
+
+    #[test]
+    fn departed_vcpus_lose_baselines_and_histories() {
+        let cfg = two_shards();
+        let mut backend = crate::monitor::tests::FakeBackend::new(2, 2);
+        let mut p = ShardedPipeline::new(&cfg);
+        run(&mut p, &backend, &cfg);
+        run(&mut p, &backend, &cfg);
+        // VM 1 departs and VM 0 shrinks to one vCPU.
+        backend.vms.pop();
+        backend.vms[0].nr_vcpus = 1;
+        run(&mut p, &backend, &cfg);
+        assert!(p.usage_baseline(addr(0, 0)).is_some());
+        for gone in [addr(0, 1), addr(1, 0), addr(1, 1)] {
+            assert_eq!(p.usage_baseline(gone), None, "{gone:?}");
+        }
+        let kept: Vec<VcpuAddr> = p.export_histories().iter().map(|(a, _)| *a).collect();
+        assert_eq!(kept, [addr(0, 0)]);
+    }
+
+    #[test]
+    fn skipped_vcpu_history_is_pruned_after_the_merge() {
+        // One vCPU per shard. The estimator itself never prunes; the
+        // pipeline's prune after the merge drops the history of the
+        // vCPU that got no observation and keeps the other one.
+        let mut cfg = two_shards();
+        cfg.stale_sample_ttl = 0;
+        let mut backend = crate::monitor::tests::FakeBackend::new(2, 1);
+        let mut p = ShardedPipeline::new(&cfg);
+        run(&mut p, &backend, &cfg);
+        run(&mut p, &backend, &cfg);
+        backend
+            .fail_usage
+            .insert(addr(0, 0), std::io::ErrorKind::TimedOut);
+        let estimates = run(&mut p, &backend, &cfg);
+        assert_eq!(p.skipped(), [addr(0, 0)]);
+        assert_eq!(estimates.len(), 1);
+        let histories = p.export_histories();
+        assert_eq!(histories.len(), 1);
+        assert_eq!(histories[0], (addr(1, 0), vec![0, 0, 0]));
     }
 }

@@ -2,9 +2,9 @@
 //! loop, behind one [`ControllerMetrics`] registry.
 //!
 //! [`Controller`](crate::Controller) owns one of these and feeds it every
-//! iteration; the stage modules each define a `record_telemetry` hook
-//! that maps their outcome onto the registry (so the metric semantics
-//! live next to the stage they measure). The daemon renders the registry
+//! iteration through the `record_*` methods below; stages 2 and 5 map
+//! their outcome onto the registry through `record_telemetry` hooks in
+//! their own modules. The daemon renders the registry
 //! to Prometheus text (`--metrics` / `--metrics-addr`), the cluster
 //! manager rolls per-node registries into one page, and the trace ring
 //! is dumped on shutdown or a circuit-breaker trip.

@@ -17,10 +17,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use vfc_cgroupfs::backend::HostBackend;
-use vfc_controller::apply::apply_allocations;
+use vfc_controller::apply::allocation_to_cpu_max;
 use vfc_controller::auction::{run_auction, Buyer};
 use vfc_controller::controller::{Controller, IterationReport};
-use vfc_controller::credits::{base_allocations, Wallet};
+use vfc_controller::credits::Wallet;
 use vfc_controller::distribute::distribute_leftovers;
 use vfc_controller::estimate::{EstimateCase, Estimator};
 use vfc_controller::monitor::Monitor;
@@ -240,11 +240,12 @@ fn unchanged_demand_elides_every_cpu_max_write() {
 
 // ---- golden equivalence with the seed pipeline -------------------------
 
-/// The original controller pipeline, reconstructed verbatim from the
-/// HashMap-keyed public stage APIs it was built of: observe → estimate
-/// (+ QoS floors) → earn → base capping (+ over-subscription scale) →
-/// auction → free distribution → apply. No elision, no dense slots —
-/// every allocation is written every period.
+/// The original controller pipeline, kept as a self-contained oracle:
+/// list → observe → estimate (+ QoS floors) → Eq. 4 credits → Eq. 5
+/// base capping (+ over-subscription scale) → auction → free
+/// distribution → apply, with every stage keyed by HashMap. No sharding,
+/// no elision, no dense slots — every allocation is written every
+/// period, in sorted address order.
 struct SeedPipeline {
     cfg: ControllerConfig,
     monitor: Monitor,
@@ -270,11 +271,11 @@ impl SeedPipeline {
     }
 
     fn iterate(&mut self, host: &mut SimHost) {
-        let out = self
-            .monitor
-            .observe(host, self.cfg.period, self.cfg.stale_sample_ttl);
-        let guarantee: HashMap<VmId, Micros> = out
-            .vms
+        let vms = host.vms();
+        self.monitor
+            .observe_listed(host, &vms, self.cfg.period, self.cfg.stale_sample_ttl);
+        let observations = self.monitor.observations();
+        let guarantee: HashMap<VmId, Micros> = vms
             .iter()
             .map(|vm| {
                 let c_i =
@@ -283,18 +284,28 @@ impl SeedPipeline {
             })
             .collect();
 
-        let mut estimates = self
-            .estimator
-            .estimate(&self.cfg, &out.observations, &self.prev_alloc);
+        let mut estimates = Vec::new();
+        self.estimator
+            .estimate_into(&self.cfg, observations, &self.prev_alloc, &mut estimates);
         for e in &mut estimates {
             if !self.prev_alloc.contains_key(&e.addr) || e.case == EstimateCase::Increase {
                 e.estimate = e.estimate.max(guarantee[&e.addr.vm]);
             }
         }
 
-        self.wallet.earn(&out.observations, &guarantee);
+        // Eq. 4: every vCPU under its guarantee banks the difference.
+        for obs in observations {
+            let c_i = guarantee[&obs.addr.vm];
+            if c_i > obs.used {
+                self.wallet.credit(obs.addr.vm, (c_i - obs.used).as_u64());
+            }
+        }
 
-        let mut allocations = base_allocations(&estimates, &guarantee);
+        // Eq. 5: base allocation min(e, C_i).
+        let mut allocations: HashMap<VcpuAddr, Micros> = estimates
+            .iter()
+            .map(|e| (e.addr, e.estimate.min(guarantee[&e.addr.vm])))
+            .collect();
         let base_total: Micros = allocations.values().copied().sum();
         if base_total > self.c_max && !base_total.is_zero() {
             let ratio = self.c_max.as_u64() as f64 / base_total.as_u64() as f64;
@@ -328,8 +339,13 @@ impl SeedPipeline {
             .collect();
         distribute_leftovers(&mut market, &residual, &mut allocations);
 
-        let outcome = apply_allocations(host, &self.cfg, &allocations);
-        assert_eq!(outcome.errors(), 0, "clean host: every write succeeds");
+        let mut addrs: Vec<VcpuAddr> = allocations.keys().copied().collect();
+        addrs.sort_unstable();
+        for addr in addrs {
+            let max = allocation_to_cpu_max(allocations[&addr], self.cfg.period);
+            host.set_vcpu_max(addr.vm, addr.vcpu, max)
+                .expect("clean host: every write succeeds");
+        }
         for (addr, alloc) in &allocations {
             self.prev_alloc.insert(*addr, *alloc);
         }

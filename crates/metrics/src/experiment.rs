@@ -134,8 +134,18 @@ impl Registry {
     /// first kept record that `order` ranks after it (ids absent from
     /// `order` rank last), so a registry built in `order` stays in it.
     /// An `experiments.json` that does not parse is an error naming its
-    /// path, and nothing is written.
+    /// path, and nothing is written. So is a non-finite metric, named
+    /// with its record: JSON would store it as `null`, which the next
+    /// merge could not read back.
     pub fn merge_into(&self, dir: &Path, order: &[&str]) -> io::Result<Registry> {
+        for r in &self.records {
+            if let Some((name, v)) = r.metrics.iter().find(|(_, v)| !v.is_finite()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("record {}: metric {name} is {v}, not a finite number", r.id),
+                ));
+            }
+        }
         let path = dir.join("experiments.json");
         let named = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
         let mut merged = match fs::read_to_string(&path) {
@@ -295,5 +305,18 @@ mod tests {
         );
         assert!(!dir.join("experiments.md").exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_refuses_a_non_finite_metric_and_writes_nothing() {
+        let dir = scratch_dir("nonfinite");
+        let mut reg = Registry::new();
+        reg.add(sample());
+        reg.add(ExperimentRecord::new("fig10", "t", "c").metric("cv", f64::NAN));
+        let err = reg.merge_into(&dir, &["fig7", "fig10"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("fig10") && msg.contains("cv"), "{msg}");
+        assert!(!dir.exists(), "nothing written");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The cluster manager answers every placement question — admission,
 //! evacuation, migration fallback, control-plane feasibility — by
-//! scanning all `n` node bins and applying [`ConstraintMode::fits`].
-//! That scan is exact but linear, and at trace scale (1,200 nodes,
-//! ~100k arrivals/evacuations) it dominates the placement cost.
+//! scanning all `n` node bins and applying
+//! [`ConstraintMode::fits`](crate::ConstraintMode::fits). That scan
+//! is exact but linear, and at trace scale (1,200 nodes, ~100k
+//! arrivals/evacuations) it dominates the placement cost.
 //!
 //! This index replaces the scan with two incrementally-maintained
 //! structures over the *residual* capacity of each slot:
@@ -32,8 +33,9 @@
 //! with the slot's current residuals after *every* mutation (place,
 //! remove, resize, node repair) and [`ResidualIndex::deactivate`] when
 //! a slot leaves the candidate set (node crash). Residuals are in the
-//! owner's constraint units ([`ConstraintMode::remaining`]): MHz under
-//! Eq. 7, vCPU slots under core-count.
+//! owner's constraint units
+//! ([`ConstraintMode::remaining`](crate::ConstraintMode::remaining)):
+//! MHz under Eq. 7, vCPU slots under core-count.
 
 use std::collections::BTreeSet;
 

@@ -217,28 +217,18 @@ pub fn sweep_window(windows_us: &[u64]) -> Vec<WindowRow> {
     use std::collections::HashMap;
     use vfc_controller::auction::{run_auction, Buyer};
     use vfc_controller::credits::Wallet;
-    use vfc_controller::monitor::VcpuObservation;
-    use vfc_simcore::CpuId;
 
     windows_us
         .iter()
         .map(|&window_us| {
-            // Fund the wallets through Eq. 4 (the only public intake):
-            // rich idled against a huge guarantee, modest against a small
-            // one.
+            // Fund the wallets as Eq. 4 would after one idle period:
+            // rich idled against a huge guarantee, modest against a
+            // small one.
             let mut wallet = Wallet::new();
             let rich_vm = VmId::new(0);
             let modest_vm = VmId::new(1);
-            let guarantee: HashMap<VmId, Micros> =
-                [(rich_vm, Micros(10_000_000)), (modest_vm, Micros(150_000))].into();
-            let obs = |vm: u32| VcpuObservation {
-                addr: VcpuAddr::new(VmId::new(vm), VcpuId::new(0)),
-                used: Micros::ZERO,
-                throttled: Micros::ZERO,
-                last_cpu: CpuId::new(0),
-                freq_est: MHz(0),
-            };
-            wallet.earn(&[obs(0), obs(1)], &guarantee);
+            wallet.credit(rich_vm, 10_000_000);
+            wallet.credit(modest_vm, 150_000);
 
             // Both want 200 k from a 200 k market.
             let mut market = Micros(200_000);

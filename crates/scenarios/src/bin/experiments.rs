@@ -550,9 +550,9 @@ fn rate_fig(ctx: &mut Ctx, id: &str, node: NodeKind) -> Result<(), String> {
     // are equal" per the paper); iterations 4–7 run while the larges
     // contend (the guarantee plateau); later iterations run after the
     // larges complete and burst again. The claim under test is that
-    // the plateau sits tight at the guarantee rate.
-    let mut stable_ratio = f64::NAN;
-    if let Some(s) = series.get("B-compress") {
+    // the plateau sits tight at the guarantee rate. `None` when there
+    // is no contended plateau to measure.
+    let stable_ratio = series.get("B-compress").and_then(|s| {
         let contended: Vec<f64> = s
             .points()
             .iter()
@@ -560,10 +560,8 @@ fn rate_fig(ctx: &mut Ctx, id: &str, node: NodeKind) -> Result<(), String> {
             .map(|(_, v)| *v)
             .collect();
         let summary = vfc_metrics::stats::Summary::of(&contended);
-        if summary.mean() > 0.0 {
-            stable_ratio = summary.std_dev() / summary.mean();
-        }
-    }
+        (summary.mean() > 0.0).then(|| summary.std_dev() / summary.mean())
+    });
     println!(
         "{}",
         chart(
@@ -577,25 +575,28 @@ fn rate_fig(ctx: &mut Ctx, id: &str, node: NodeKind) -> Result<(), String> {
         )
     );
     ctx.save_series(id, &series);
-    ctx.registry.add(
-        ExperimentRecord::new(
-            id,
-            &format!(
-                "Compression efficiency of small instances on {}",
-                node.spec().name
-            ),
-            "B is stable at the guarantee; A floats with contention; early iterations equal",
-        )
-        .measured(format!(
-            "B compress rate cv over the contended plateau (iterations 4–7) = {stable_ratio:.3}"
-        ))
-        .metric("b_compress_contended_cv", stable_ratio)
-        .verdict(if stable_ratio.is_finite() && stable_ratio < 0.15 {
-            Verdict::Reproduced
-        } else {
-            Verdict::Partial
-        }),
-    );
+    let mut record = ExperimentRecord::new(
+        id,
+        &format!(
+            "Compression efficiency of small instances on {}",
+            node.spec().name
+        ),
+        "B is stable at the guarantee; A floats with contention; early iterations equal",
+    )
+    .verdict(if stable_ratio.is_some_and(|r| r < 0.15) {
+        Verdict::Reproduced
+    } else {
+        Verdict::Partial
+    });
+    record = match stable_ratio {
+        Some(r) => record
+            .measured(format!(
+                "B compress rate cv over the contended plateau (iterations 4–7) = {r:.3}"
+            ))
+            .metric("b_compress_contended_cv", r),
+        None => record.measured("B compress rate has no contended plateau (iterations 4–7)"),
+    };
+    ctx.registry.add(record);
     Ok(())
 }
 
