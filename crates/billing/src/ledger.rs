@@ -26,8 +26,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// On-disk format version this build writes and accepts.
 pub const LEDGER_VERSION: u32 = 1;
@@ -199,17 +199,12 @@ impl UsageLedger {
         out
     }
 
-    /// Persist atomically: write `<path>.tmp`, fsync, rename over
-    /// `path`. After a crash at any point the file at `path` is either
-    /// the previous complete ledger or this one — never a torn mix.
+    /// Persist atomically through [`vfc_telemetry::write_atomic`]
+    /// (write, fsync, rename). After a crash at any point the file at
+    /// `path` is either the previous complete ledger or this one — never
+    /// a torn mix.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(self.render().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        vfc_telemetry::write_atomic(path, self.render().as_bytes())
     }
 
     /// Load and fully validate a ledger file. See [`LedgerError`] for
@@ -277,15 +272,10 @@ impl UsageLedger {
     }
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     pub(crate) fn record(seq: u64, period: u64, tenant: &str) -> UsageRecord {
         UsageRecord {

@@ -33,14 +33,14 @@ pub mod trace;
 pub use events::{EventDrivenCluster, EventStats, WorkloadFactory};
 
 /// Set the worker-thread count for the parallel node advance (and every
-/// other `par_iter_mut` in the process): `0` = one worker per available
-/// core (the default), `1` = fully serial, `n` = exactly `n` workers
-/// even above the core count. The `experiments trace` harness wires the
-/// `VFC_TRACE_THREADS` environment knob to this. Thread count never
-/// changes results — the determinism contract in [`events`] holds for
-/// every value — only wall-clock.
+/// other [`vfc_simcore::fanout`] loop in the process): `0` = one worker
+/// per available core (the default), `1` = fully serial, `n` = exactly
+/// `n` workers even above the core count. The `experiments trace`
+/// harness wires the `VFC_TRACE_THREADS` environment knob to this.
+/// Thread count never changes results — the determinism contract in
+/// [`events`] holds for every value — only wall-clock.
 pub fn set_parallelism(threads: usize) {
-    rayon::set_max_threads(threads);
+    vfc_simcore::fanout::set_max_workers(threads);
 }
 pub use faults::{FaultModel, FaultReport, RestartPolicy};
 pub use manager::{

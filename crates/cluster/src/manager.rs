@@ -209,10 +209,6 @@ struct NodeRuntime {
     /// per-period pass nor the event-driven core ever scans the whole
     /// fleet per node, and an empty node's emptiness is an O(1) check.
     residents: Vec<(usize, VmId, MHz, u32)>,
-    /// Set by the event-driven core to select this node for the next
-    /// parallel advance ([`ClusterManager::advance_marked_nodes`]);
-    /// cleared by the advance itself.
-    run_mark: bool,
     /// SLO samples this node computed in the parallel pass, merged
     /// serially afterwards. Both buffers keep their capacity across
     /// periods.
@@ -243,7 +239,6 @@ impl NodeRuntime {
             recovery_until: 0,
             report: IterationReport::default(),
             residents: Vec::new(),
-            run_mark: false,
             slo_scratch: Vec::new(),
             tallied_used: false,
             tallied_violating: false,
@@ -533,8 +528,6 @@ impl ClusterManager {
         let mhz = rt.bin.used_freq_mhz();
         let violating = mhz > rt.bin.spec.freq_capacity_mhz();
         let down = rt.is_down();
-        let units = self.mode.remaining(&rt.bin);
-        let mem = (rt.bin.spec.mem_gb as u64).saturating_sub(rt.bin.used_mem_gb());
 
         self.used_node_count -= rt.tallied_used as usize;
         self.used_node_count += used as usize;
@@ -550,7 +543,7 @@ impl ClusterManager {
         if down {
             self.index.deactivate(i);
         } else {
-            self.index.set(i, units, mem);
+            self.index.set_bin(i, &self.mode, &rt.bin);
         }
     }
 
@@ -884,19 +877,6 @@ impl ClusterManager {
         }
     }
 
-    /// A request's demand in the constraint's residual unit: vCPU slots
-    /// under core-count, `k_v·F_v` MHz under the frequency modes —
-    /// exactly the quantity [`ConstraintMode::fits`] compares against
-    /// the bin's remaining capacity.
-    fn demand_units(&self, request: &PlacementRequest) -> u64 {
-        match self.mode {
-            ConstraintMode::CoreCount { .. } => request.vcpus as u64,
-            ConstraintMode::Frequency | ConstraintMode::FrequencyFactor { .. } => {
-                request.freq_demand_mhz()
-            }
-        }
-    }
-
     /// Placement under the strategy's constraint with the chosen
     /// heuristic, skipping crashed nodes (and optionally one more — a
     /// migration source). Answered by the residual-capacity index in
@@ -908,13 +888,7 @@ impl ClusterManager {
         request: &PlacementRequest,
         exclude: Option<usize>,
     ) -> Option<usize> {
-        let units = self.demand_units(request);
-        let mem = request.mem_gb as u64;
-        match algorithm {
-            PlacementAlgorithm::FirstFit => self.index.first_fit(units, mem, exclude),
-            PlacementAlgorithm::BestFit => self.index.best_fit(units, mem, exclude),
-            PlacementAlgorithm::WorstFit => self.index.worst_fit(units, mem, exclude),
-        }
+        self.index.select(algorithm, &self.mode, request, exclude)
     }
 
     /// The indexed placement answer, exposed for the equivalence
@@ -1257,9 +1231,9 @@ impl ClusterManager {
     /// only talks to them between periods), so this is embarrassingly
     /// parallel — the dominant cost of a cluster run. Small batches run
     /// serially (spinning up scoped threads to flip a couple of nodes
-    /// costs more than the work); larger ones are marked via
-    /// [`NodeRuntime::run_mark`] and swept by one `par_iter_mut` pass,
-    /// since the vendored rayon subset can only split whole slices.
+    /// costs more than the work); larger ones fan out over positional
+    /// chunks of the whole node list
+    /// ([`vfc_simcore::fanout::for_each_selected`]).
     pub(crate) fn advance_node_set(&mut self, active: &[usize]) {
         let period = self.period;
         if active.len() <= 4 {
@@ -1268,15 +1242,8 @@ impl ClusterManager {
             }
             return;
         }
-        for &i in active {
-            self.nodes[i].run_mark = true;
-        }
-        use rayon::prelude::*;
-        self.nodes.par_iter_mut().for_each(|node| {
-            if node.run_mark {
-                node.run_mark = false;
-                Self::advance_node(node, period);
-            }
+        vfc_simcore::fanout::for_each_selected(&mut self.nodes, active, |node| {
+            Self::advance_node(node, period)
         });
     }
 

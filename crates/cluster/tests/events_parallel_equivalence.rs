@@ -1,7 +1,7 @@
 //! Thread count must be invisible in every event-core output.
 //!
-//! The same-instant node batch fans out across the rayon shim inside
-//! `ClusterManager::advance_node_set`; the determinism contract
+//! The same-instant node batch fans out across `vfc_simcore::fanout`
+//! inside `ClusterManager::advance_node_set`; the determinism contract
 //! (`events` module docs, DESIGN.md §16) promises that worker count
 //! changes wall-clock only — journals, `ClusterReport`s and fault draws
 //! stay byte-identical. This proptest replays the same random trace
@@ -47,7 +47,7 @@ fn trace_from(seeds: &[SpecSeed], horizon: u64) -> Vec<TraceVmSpec> {
                 arrival,
                 // `lifetime % horizon == 0` means the VM never departs
                 // inside the run — keeps a standing busy set so the
-                // PH_NODE batch stays > 4 nodes (the rayon threshold).
+                // PH_NODE batch stays > 4 nodes (the fan-out threshold).
                 departure: match lifetime % horizon {
                     0 => None,
                     l => Some(arrival + l),
@@ -108,7 +108,7 @@ proptest! {
 }
 
 /// Deterministic smoke variant of the proptest: a packed fleet whose
-/// standing batch covers all 12 nodes, so the >4-node rayon fan-out is
+/// standing batch covers all 12 nodes, so the >4-node fan-out is
 /// guaranteed (not just likely) to run.
 #[test]
 fn forced_parallel_split_matches_serial_on_a_packed_fleet() {

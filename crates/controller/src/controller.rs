@@ -997,9 +997,10 @@ impl Controller {
     }
 
     /// [`Controller::iterate_into`] with stages 1–2 parallelized across
-    /// shards (one scoped thread per chunk of shards, via the vendored
-    /// `rayon`). Requires a `Sync` backend: shard state is disjoint, so
-    /// workers only share `&B`, the config and `c_{t-1}`.
+    /// shards (one scoped thread per chunk of shards, via
+    /// [`vfc_simcore::fanout`]). Requires a `Sync` backend: shard state
+    /// is disjoint, so workers only share `&B`, the config and
+    /// `c_{t-1}`.
     ///
     /// Output-equivalent to the sequential entry point — the merge
     /// concatenates per-shard results in shard order, so stages 3–6 see

@@ -8,7 +8,7 @@
 //! vCPU). This module splits the VM inventory into **shards** — each a
 //! contiguous, vCPU-balanced run of the inventory order with its own
 //! [`Monitor`] and [`Estimator`] — runs them through a caller-supplied
-//! runner (sequential, or parallel via the vendored `rayon`), and then
+//! runner (sequential, or parallel via [`vfc_simcore::fanout`]), and then
 //! merges the per-shard outputs back into the flat buffers stages 3–6
 //! expect, in shard order.
 //!
@@ -137,20 +137,17 @@ pub(crate) fn run_shards_sequential<B: HostBackend + ?Sized>(
     }
 }
 
-/// Run shards across threads via the vendored `rayon` (one contiguous
-/// chunk per core, first chunk on the caller). Requires a `Sync`
-/// backend; per-shard state is disjoint so no further synchronization
-/// is needed.
+/// Run shards across threads via [`vfc_simcore::fanout`] (one
+/// contiguous chunk per core, first chunk on the caller). Requires a
+/// `Sync` backend; per-shard state is disjoint so no further
+/// synchronization is needed.
 pub(crate) fn run_shards_parallel<B: HostBackend + Sync + ?Sized>(
     shards: &mut [Shard],
     backend: &B,
     cfg: &ControllerConfig,
     prev_alloc: &FastMap<VcpuAddr, Micros>,
 ) {
-    use rayon::prelude::*;
-    shards
-        .par_iter_mut()
-        .for_each(|shard| shard.run_period(backend, cfg, prev_alloc));
+    vfc_simcore::fanout::for_each_mut(shards, |shard| shard.run_period(backend, cfg, prev_alloc));
 }
 
 /// The sharded stage-1/2 pipeline: the inventory lister, the shard set,

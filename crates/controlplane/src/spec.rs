@@ -176,18 +176,13 @@ impl SpecStore {
         self.log.push(event);
     }
 
-    /// Persist the event log as JSON: write `<path>.tmp`, then rename
-    /// over `path`, so a crash mid-write leaves the previous log intact
-    /// (the same atomic-swap discipline as the controller journal).
+    /// Persist the event log as JSON through
+    /// [`vfc_telemetry::write_atomic`] (write, fsync, rename), so a crash
+    /// at any point leaves the previous log or this one intact.
     pub fn save(&self, path: &Path) -> Result<(), String> {
         let body =
             serde_json::to_string(&self.log).map_err(|e| format!("serialize spec log: {e}"))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        vfc_telemetry::write_atomic(path, body.as_bytes()).map_err(|e| e.to_string())
     }
 
     /// Rebuild a store by replaying a persisted log.

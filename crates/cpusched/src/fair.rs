@@ -145,16 +145,15 @@ pub fn water_fill_into(
     }
 }
 
-/// Convenience wrapper: equal weights.
-pub fn water_fill_equal(capacity: u64, caps: &[u64]) -> Vec<u64> {
-    let entities: Vec<Entity> = caps.iter().map(|&c| Entity::new(100, c)).collect();
-    water_fill(capacity, &entities)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Equal-weight entities with the given caps.
+    fn equal(caps: &[u64]) -> Vec<Entity> {
+        caps.iter().map(|&c| Entity::new(100, c)).collect()
+    }
 
     #[test]
     fn empty_and_zero_capacity() {
@@ -225,15 +224,15 @@ mod tests {
     #[test]
     fn dust_is_distributed() {
         // 7 µs among 3 equal entities: 2/2/2 then 1 more to one of them.
-        let a = water_fill_equal(7, &[100, 100, 100]);
+        let a = water_fill(7, &equal(&[100, 100, 100]));
         assert_eq!(a.iter().sum::<u64>(), 7);
         assert!(a.iter().all(|&x| x == 2 || x == 3));
     }
 
     #[test]
     fn single_entity_takes_min_of_cap_and_capacity() {
-        assert_eq!(water_fill_equal(100, &[250]), vec![100]);
-        assert_eq!(water_fill_equal(400, &[250]), vec![250]);
+        assert_eq!(water_fill(100, &equal(&[250])), vec![100]);
+        assert_eq!(water_fill(400, &equal(&[250])), vec![250]);
     }
 
     proptest! {
@@ -268,7 +267,7 @@ mod tests {
         ) {
             // With equal weights, an entity with a larger cap never gets
             // less than one with a smaller cap (max-min fairness).
-            let alloc = water_fill_equal(capacity, &caps);
+            let alloc = water_fill(capacity, &equal(&caps));
             for i in 0..caps.len() {
                 for j in 0..caps.len() {
                     if caps[i] >= caps[j] {

@@ -112,23 +112,6 @@ impl Summary {
     }
 }
 
-/// Jain's fairness index: `(Σx)² / (n · Σx²)` ∈ `[1/n, 1]`; 1 means all
-/// shares equal. The standard metric for allocation fairness — used by
-/// the auction-window analyses. Returns 1.0 for empty or all-zero input
-/// (nobody is treated unequally).
-pub fn jain_fairness(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sq_sum: f64 = xs.iter().map(|x| x * x).sum();
-    if sq_sum == 0.0 {
-        1.0
-    } else {
-        sum * sum / (xs.len() as f64 * sq_sum)
-    }
-}
-
 /// Fixed-bin histogram over `[lo, hi)`; values outside clamp to the edge
 /// bins. Used for distribution summaries in reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,18 +246,6 @@ mod tests {
         e.merge(&Summary::of(&[1.0, 2.0]));
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jain_index_behaves() {
-        assert_eq!(jain_fairness(&[]), 1.0);
-        assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
-        assert!((jain_fairness(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        // One user hogs everything among n: index = 1/n.
-        assert!((jain_fairness(&[10.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        // Moderate skew lands in between.
-        let j = jain_fairness(&[1.0, 2.0, 3.0]);
-        assert!(j > 0.25 && j < 1.0);
     }
 
     #[test]

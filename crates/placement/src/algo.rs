@@ -1,6 +1,7 @@
 //! Placement algorithms: First-Fit, Best-Fit, Worst-Fit.
 
 use crate::constraint::ConstraintMode;
+use crate::index::ResidualIndex;
 use crate::model::{NodeBin, PlacementRequest};
 use serde::{Deserialize, Serialize};
 use vfc_cpusched::topology::NodeSpec;
@@ -69,44 +70,24 @@ impl Placer {
         Placer { algorithm, mode }
     }
 
-    /// Place every request, in order, onto the cluster.
+    /// Place every request, in order, onto the cluster, answering each
+    /// through a [`ResidualIndex`] over the bins.
     pub fn place(&self, cluster: &[NodeSpec], requests: &[PlacementRequest]) -> PlacementResult {
         let mut nodes: Vec<NodeBin> = cluster.iter().cloned().map(NodeBin::new).collect();
-        let mut assignments = Vec::with_capacity(requests.len());
-        let mut unplaced = 0usize;
-
-        for vm in requests {
-            let candidate = match self.algorithm {
-                PlacementAlgorithm::FirstFit => {
-                    nodes.iter().position(|bin| self.mode.fits(bin, vm))
-                }
-                PlacementAlgorithm::BestFit => nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| self.mode.fits(bin, vm))
-                    // Tightest fit; lowest index breaks ties for
-                    // determinism.
-                    .min_by_key(|(i, bin)| (self.mode.remaining(bin), *i))
-                    .map(|(i, _)| i),
-                PlacementAlgorithm::WorstFit => nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| self.mode.fits(bin, vm))
-                    .max_by_key(|(i, bin)| (self.mode.remaining(bin), usize::MAX - *i))
-                    .map(|(i, _)| i),
-            };
-            match candidate {
-                Some(i) => {
-                    nodes[i].place(vm);
-                    assignments.push(Some(i));
-                }
-                None => {
-                    unplaced += 1;
-                    assignments.push(None);
-                }
-            }
+        let mut index = ResidualIndex::new(nodes.len());
+        for (i, bin) in nodes.iter().enumerate() {
+            index.set_bin(i, &self.mode, bin);
         }
-
+        let assignments: Vec<Option<usize>> = requests
+            .iter()
+            .map(|vm| {
+                let i = index.select(self.algorithm, &self.mode, vm, None)?;
+                nodes[i].place(vm);
+                index.set_bin(i, &self.mode, &nodes[i]);
+                Some(i)
+            })
+            .collect();
+        let unplaced = assignments.iter().filter(|a| a.is_none()).count();
         PlacementResult {
             nodes,
             assignments,
@@ -199,7 +180,79 @@ mod tests {
         assert!(result.mean_used_utilization() > 0.0);
     }
 
+    /// The linear First/Best/Worst-Fit scans `Placer::place` ran before
+    /// it answered through `ResidualIndex`, kept as the oracle.
+    fn place_by_scan(
+        algorithm: PlacementAlgorithm,
+        mode: ConstraintMode,
+        cluster: &[NodeSpec],
+        requests: &[PlacementRequest],
+    ) -> Vec<Option<usize>> {
+        let mut nodes: Vec<NodeBin> = cluster.iter().cloned().map(NodeBin::new).collect();
+        let mut assignments = Vec::new();
+        for vm in requests {
+            let feasible = nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, bin)| mode.fits(bin, vm));
+            let candidate = match algorithm {
+                PlacementAlgorithm::FirstFit => feasible.map(|(i, _)| i).next(),
+                PlacementAlgorithm::BestFit => feasible
+                    .min_by_key(|(i, bin)| (mode.remaining(bin), *i))
+                    .map(|(i, _)| i),
+                PlacementAlgorithm::WorstFit => feasible
+                    .max_by_key(|(i, bin)| (mode.remaining(bin), usize::MAX - *i))
+                    .map(|(i, _)| i),
+            };
+            if let Some(i) = candidate {
+                nodes[i].place(vm);
+            }
+            assignments.push(candidate);
+        }
+        assignments
+    }
+
+    fn arb_node() -> impl Strategy<Value = NodeSpec> {
+        // Few distinct sizes, so equal-residual ties are common.
+        (1u32..6, 1u32..3, 10u32..13, 2u32..9).prop_map(|(cores, threads, mhz, mem)| {
+            let mut spec = NodeSpec::custom("n", 1, cores, threads, MHz(mhz * 200));
+            spec.mem_gb = mem * 8;
+            spec
+        })
+    }
+
+    fn arb_request() -> impl Strategy<Value = PlacementRequest> {
+        (1u32..5, 1u32..13, 1u32..17)
+            .prop_map(|(vcpus, f, mem)| PlacementRequest::new("vm", vcpus, MHz(f * 200), mem))
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_index_placer_matches_the_linear_scans(
+            cluster in proptest::collection::vec(arb_node(), 1..24),
+            requests in proptest::collection::vec(arb_request(), 0..80),
+            algo_pick in 0u8..3,
+            mode_pick in 0u8..3,
+        ) {
+            let algorithm = [
+                PlacementAlgorithm::FirstFit,
+                PlacementAlgorithm::BestFit,
+                PlacementAlgorithm::WorstFit,
+            ][algo_pick as usize];
+            let mode = [
+                ConstraintMode::Frequency,
+                ConstraintMode::FrequencyFactor { factor: 1.2 },
+                ConstraintMode::CoreCount { factor: 1.8 },
+            ][mode_pick as usize];
+            let got = Placer::new(algorithm, mode).place(&cluster, &requests);
+            let want = place_by_scan(algorithm, mode, &cluster, &requests);
+            prop_assert_eq!(&got.assignments, &want, "{:?} {:?}", algorithm, mode);
+            let unplaced = want.iter().filter(|a| a.is_none()).count();
+            prop_assert_eq!(got.unplaced, unplaced);
+        }
+
         #[test]
         fn prop_placements_respect_the_constraint(
             n_small in 0usize..120,

@@ -2,6 +2,7 @@
 
 use crate::model::{NodeBin, PlacementRequest};
 use serde::{Deserialize, Serialize};
+use vfc_cpusched::topology::NodeSpec;
 
 /// Which capacity rule decides whether a VM fits on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,55 +34,61 @@ impl ConstraintMode {
         ConstraintMode::CoreCount { factor: 1.0 }
     }
 
-    /// Does `vm` fit on `bin` in addition to what is already there?
-    /// Memory is always checked — the paper assumes it never binds, and
-    /// with these workloads it doesn't, but the rule is cheap.
-    pub fn fits(&self, bin: &NodeBin, vm: &PlacementRequest) -> bool {
-        if bin.used_mem_gb() + vm.mem_gb as u64 > bin.spec.mem_gb as u64 {
-            return false;
-        }
+    /// A node's capacity in this mode's unit: hardware threads ×
+    /// factor under core-count (vCPU slots), `k^CPU·F^MAX` (× factor)
+    /// MHz under the frequency modes — the right-hand side of Eq. 7.
+    pub fn capacity(&self, spec: &NodeSpec) -> u64 {
         match self {
             ConstraintMode::CoreCount { factor } => {
-                let cap = (bin.spec.nr_threads() as f64 * factor).floor() as u64;
-                bin.used_vcpus() + vm.vcpus as u64 <= cap
+                (spec.nr_threads() as f64 * factor).floor() as u64
             }
-            ConstraintMode::Frequency => {
-                // A single vCPU can also never need more than one thread
-                // at F^MAX; Eq. 2 clamps F to F^MAX, so the aggregate
-                // check is sufficient.
-                bin.used_freq_mhz() + vm.freq_demand_mhz() <= bin.spec.freq_capacity_mhz()
-            }
+            ConstraintMode::Frequency => spec.freq_capacity_mhz(),
             ConstraintMode::FrequencyFactor { factor } => {
-                let cap = (bin.spec.freq_capacity_mhz() as f64 * factor).floor() as u64;
-                bin.used_freq_mhz() + vm.freq_demand_mhz() <= cap
+                (spec.freq_capacity_mhz() as f64 * factor).floor() as u64
             }
         }
+    }
+
+    /// What `vm` demands of that capacity: its vCPU count, or
+    /// `k^vCPU·F` MHz (the left-hand side of Eq. 7).
+    pub fn demand(&self, vm: &PlacementRequest) -> u64 {
+        self.unit(vm.vcpus as u64, vm.freq_demand_mhz())
+    }
+
+    /// What `bin` already uses of that capacity.
+    fn usage(&self, bin: &NodeBin) -> u64 {
+        self.unit(bin.used_vcpus(), bin.used_freq_mhz())
+    }
+
+    /// This mode's unit out of a (vCPUs, MHz) pair.
+    fn unit(&self, vcpus: u64, mhz: u64) -> u64 {
+        match self {
+            ConstraintMode::CoreCount { .. } => vcpus,
+            ConstraintMode::Frequency | ConstraintMode::FrequencyFactor { .. } => mhz,
+        }
+    }
+
+    /// Does `vm` fit on `bin` in addition to what is already there?
+    /// Memory is always checked — the paper assumes it never binds, and
+    /// with these workloads it doesn't, but the rule is cheap. Under
+    /// Eq. 7 the aggregate check is sufficient: a single vCPU never
+    /// needs more than one thread at F^MAX, since Eq. 2 clamps F to
+    /// F^MAX.
+    pub fn fits(&self, bin: &NodeBin, vm: &PlacementRequest) -> bool {
+        bin.used_mem_gb() + vm.mem_gb as u64 <= bin.spec.mem_gb as u64
+            && self.usage(bin) + self.demand(vm) <= self.capacity(&bin.spec)
     }
 
     /// Remaining capacity of a bin in this mode's unit (for Best/Worst
     /// Fit ranking): vCPU slots or MHz.
     pub fn remaining(&self, bin: &NodeBin) -> u64 {
-        match self {
-            ConstraintMode::CoreCount { factor } => {
-                let cap = (bin.spec.nr_threads() as f64 * factor).floor() as u64;
-                cap.saturating_sub(bin.used_vcpus())
-            }
-            ConstraintMode::Frequency => bin
-                .spec
-                .freq_capacity_mhz()
-                .saturating_sub(bin.used_freq_mhz()),
-            ConstraintMode::FrequencyFactor { factor } => {
-                let cap = (bin.spec.freq_capacity_mhz() as f64 * factor).floor() as u64;
-                cap.saturating_sub(bin.used_freq_mhz())
-            }
-        }
+        self.capacity(&bin.spec).saturating_sub(self.usage(bin))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vfc_cpusched::topology::NodeSpec;
     use vfc_simcore::MHz;
 
     fn small() -> PlacementRequest {

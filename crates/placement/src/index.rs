@@ -1,43 +1,43 @@
-//! Residual-capacity placement index: O(log n) First/Best/Worst-Fit.
+//! Residual-capacity placement index: the workspace's only
+//! First/Best/Worst-Fit, O(log n) per question.
 //!
-//! The cluster manager answers every placement question — admission,
-//! evacuation, migration fallback, control-plane feasibility — by
-//! scanning all `n` node bins and applying
-//! [`ConstraintMode::fits`](crate::ConstraintMode::fits). That scan
-//! is exact but linear, and at trace scale (1,200 nodes, ~100k
-//! arrivals/evacuations) it dominates the placement cost.
-//!
-//! This index replaces the scan with two incrementally-maintained
-//! structures over the *residual* capacity of each slot:
+//! [`ResidualIndex::select`] answers [`Placer::place`](crate::Placer::place)
+//! for the §IV.C study and every cluster-manager placement (admission,
+//! evacuation, migration fallback) at trace scale, where a linear scan
+//! over 1,200 bins would dominate. Two structures over each slot's
+//! *residual* capacity:
 //!
 //! - a **segment tree** over slot order holding, per subtree, the
-//!   maximum residual constraint units and the maximum residual memory.
-//!   First-Fit descends to the leftmost feasible leaf in O(log n)
-//!   (both maxima bound the subtree, so infeasible subtrees prune; a
-//!   subtree where the two maxima come from different leaves may force
-//!   a backtrack, but memory almost never binds — the paper's own
-//!   assumption — so the descent is logarithmic in practice);
-//! - an **ordered set** of `(residual units, slot)` pairs. Best-Fit
-//!   starts at `(demand, 0)` and walks up: the first entry whose slot
-//!   also has the memory is the tightest feasible node with the lowest
-//!   index among ties. Worst-Fit walks down from the top, scanning each
-//!   equal-residual group in ascending slot order.
+//!   maximum residual units and memory. First-Fit descends to the
+//!   leftmost feasible leaf (infeasible subtrees prune; when the two
+//!   maxima come from different leaves the descent may backtrack, but
+//!   memory almost never binds — the paper's own assumption);
+//! - an **ordered set** of `(residual units, slot)`. Best-Fit walks up
+//!   from `(demand, 0)`; Worst-Fit walks down from the top, scanning
+//!   each equal-residual group in ascending slot order.
 //!
-//! The tie-break orders reproduce the linear scans **exactly**:
-//! First-Fit = lowest feasible index; Best-Fit = `min_by_key
-//! ((remaining, index))`; Worst-Fit = `max_by_key((remaining,
-//! usize::MAX - index))`. `tests/` pins this byte-for-byte against the
-//! linear oracle over random deploy/undeploy/crash/resize sequences.
+//! A slot is *feasible* when it is active, not excluded, and its
+//! residual units and memory cover the request's
+//! [`ConstraintMode::demand`](crate::ConstraintMode::demand) and
+//! `mem_gb`. Tie-breaks, exactly the linear scans `position(fits)`,
+//! `min_by_key((remaining, index))` and `max_by_key((remaining,
+//! usize::MAX - index))` that the `Placer` and
+//! `placement_index_equivalence` proptests keep as oracles:
+//! **First-Fit** takes the lowest feasible slot; **Best-Fit** the least
+//! residual units, then the lowest slot; **Worst-Fit** the most
+//! residual units, then the lowest slot.
 //!
-//! The index does not own bins. The owner calls [`ResidualIndex::set`]
-//! with the slot's current residuals after *every* mutation (place,
-//! remove, resize, node repair) and [`ResidualIndex::deactivate`] when
-//! a slot leaves the candidate set (node crash). Residuals are in the
-//! owner's constraint units
-//! ([`ConstraintMode::remaining`](crate::ConstraintMode::remaining)):
-//! MHz under Eq. 7, vCPU slots under core-count.
+//! The index does not own bins: the owner calls
+//! [`ResidualIndex::set_bin`] after *every* bin mutation or repair and
+//! [`ResidualIndex::deactivate`] when a node crashes. Residuals are in
+//! [`ConstraintMode::remaining`](crate::ConstraintMode::remaining)
+//! units: MHz under Eq. 7, vCPU slots under core-count.
 
 use std::collections::BTreeSet;
+
+use crate::algo::PlacementAlgorithm;
+use crate::constraint::ConstraintMode;
+use crate::model::{NodeBin, PlacementRequest};
 
 /// See module docs.
 #[derive(Debug, Clone)]
@@ -109,6 +109,30 @@ impl ResidualIndex {
         self.mem[slot] = mem;
         self.by_units.insert((units, slot));
         self.write_leaf(slot, units + 1, mem + 1);
+    }
+
+    /// Activate `slot` (or update an active one) with `bin`'s residual
+    /// capacity under `mode`.
+    pub fn set_bin(&mut self, slot: usize, mode: &ConstraintMode, bin: &NodeBin) {
+        let mem = (bin.spec.mem_gb as u64).saturating_sub(bin.used_mem_gb());
+        self.set(slot, mode.remaining(bin), mem);
+    }
+
+    /// The slot `algorithm` picks for `vm` under `mode`, skipping
+    /// `exclude` — see the module docs for the tie-breaks.
+    pub fn select(
+        &self,
+        algorithm: PlacementAlgorithm,
+        mode: &ConstraintMode,
+        vm: &PlacementRequest,
+        exclude: Option<usize>,
+    ) -> Option<usize> {
+        let (units, mem) = (mode.demand(vm), vm.mem_gb as u64);
+        match algorithm {
+            PlacementAlgorithm::FirstFit => self.first_fit(units, mem, exclude),
+            PlacementAlgorithm::BestFit => self.best_fit(units, mem, exclude),
+            PlacementAlgorithm::WorstFit => self.worst_fit(units, mem, exclude),
+        }
     }
 
     /// Remove `slot` from the candidate set (node down).

@@ -16,11 +16,15 @@
 //! placement promised.
 //!
 //! * [`model`] — node bins and placement state;
-//! * [`constraint`] — the two constraint modes (classic core-count with an
-//!   optional consolidation factor, and Eq. 7);
-//! * [`algo`] — First-Fit / Best-Fit / Worst-Fit placement;
-//! * [`index`] — the residual-capacity index answering the same three
-//!   heuristics in O(log n) for incremental (deploy/undeploy) callers;
+//! * [`constraint`] — the constraint modes (classic core-count with an
+//!   optional consolidation factor, Eq. 7, and Eq. 7 with a factor),
+//!   each mode's capacity, usage and demand arithmetic written once;
+//! * [`algo`] — the heuristics (First-Fit / Best-Fit / Worst-Fit) and
+//!   the one-shot [`Placer`] of the §IV.C study;
+//! * [`index`] — the residual-capacity index, the only implementation
+//!   of the three heuristics: O(log n) per question, shared by
+//!   [`Placer`] and the cluster manager's incremental
+//!   (deploy/undeploy/evacuate) callers;
 //! * [`cluster`] — the evaluation cluster (12 *chetemi* + 10 *chiclet*)
 //!   and workload (250 small + 50 medium + 100 large), with several
 //!   arrival orders;

@@ -42,7 +42,7 @@ fn delivery_at_factor(factor: f64) -> f64 {
     let mut host = SimHost::new(spec.clone(), 31).with_engine(engine);
 
     // 2-vCPU 1200 MHz VMs = 2400 MHz each; capacity 96 000 MHz.
-    let budget = (spec.freq_capacity_mhz() as f64 * factor) as u64;
+    let budget = ConstraintMode::FrequencyFactor { factor }.capacity(&spec);
     let mut vms = Vec::new();
     let mut used = 0u64;
     while used + 2_400 <= budget {

@@ -14,7 +14,9 @@
 //! * a fixed-capacity [`RingBuffer`] used for consumption histories;
 //! * a deterministic discrete-event queue ([`EventQueue`]) ordered by
 //!   `(timestamp, seqno)` — the core of the event-driven cluster
-//!   simulation.
+//!   simulation;
+//! * a std-only data-parallel [`fanout`] with one process-wide worker
+//!   cap, shared by every parallel loop in the workspace.
 //!
 //! # Unit conventions
 //!
@@ -25,6 +27,7 @@
 //! (`10⁶ Hz × 10⁻⁶ s = 1`).
 
 pub mod events;
+pub mod fanout;
 pub mod fasthash;
 pub mod ids;
 pub mod ring;

@@ -21,6 +21,13 @@ use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// Socket read and write timeouts on every accepted scrape connection,
+/// equal to the control plane API server's defaults
+/// (`ApiServerConfig::default()`): a client that connects and sends
+/// nothing holds the single accept thread for at most this long.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Escape a `# HELP` text: `\` → `\\`, newline → `\n`.
 fn escape_help(s: &str) -> String {
@@ -175,16 +182,11 @@ fn render_grouped_inner(
     }
 }
 
-/// Atomically replace `path` with `page`: write `<path>.tmp`, then
-/// rename over the target. A scraper reading the file concurrently sees
-/// either the old page or the new one, never a torn mix.
+/// Atomically replace `path` with `page` ([`crate::write_atomic`]). A
+/// scraper reading the file concurrently sees either the old page or
+/// the new one, never a torn mix.
 pub fn write_textfile(path: &Path, page: &str) -> Result<(), String> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, page).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    crate::write_atomic(path, page.as_bytes()).map_err(|e| e.to_string())
 }
 
 /// A minimal blocking HTTP exposition endpoint.
@@ -214,6 +216,8 @@ impl MetricsServer {
             .spawn(move || {
                 for stream in listener.incoming() {
                     let Ok(mut stream) = stream else { continue };
+                    let _ = stream.set_read_timeout(Some(SCRAPE_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(SCRAPE_TIMEOUT));
                     // Drain the request line + headers best-effort; a
                     // scraper that pipelines is out of scope.
                     let mut buf = [0u8; 1024];
@@ -341,5 +345,23 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("text/plain; version=0.0.4"));
         assert!(response.ends_with("vfc_iterations_total 7\n"), "{response}");
+    }
+
+    #[test]
+    fn an_idle_client_does_not_wedge_later_scrapes() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        server.publish("up 1\n".to_string());
+        // Connects and never sends a byte.
+        let _idle = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let mut scrape = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        // Without the server-side timeout the accept thread stays
+        // blocked on the idle client forever; this bound turns that into
+        // a failure instead of a hang.
+        scrape.set_read_timeout(Some(SCRAPE_TIMEOUT * 5)).unwrap();
+        scrape.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        scrape.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(response.ends_with("up 1\n"), "{response}");
     }
 }

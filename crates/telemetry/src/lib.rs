@@ -18,6 +18,8 @@
 //!   atomically-swapped [textfiles](expose::write_textfile), a minimal
 //!   std-only [HTTP endpoint](expose::MetricsServer), and a
 //!   [merged multi-node rollup](expose::render_merged);
+//! * [`durable`] — the one crash-safe [file replacement](durable::write_atomic)
+//!   (write, fsync, rename) behind every persisted file;
 //! * [`trace`] — a ring-buffer [trace journal](trace::TraceRing) of the
 //!   last N iterations, dumped as JSON for post-mortems when the daemon
 //!   dies or trips its circuit breaker.
@@ -27,11 +29,13 @@
 //! exact decimal-string arithmetic. See `docs/OBSERVABILITY.md` for the
 //! full metric reference.
 
+pub mod durable;
 pub mod expose;
 pub mod hist;
 pub mod registry;
 pub mod trace;
 
+pub use durable::write_atomic;
 pub use expose::{render, render_merged, write_textfile, MetricsServer};
 pub use hist::{HistSnapshot, Histogram, LATENCY_BUCKETS_US};
 pub use registry::{Kind, MetricId, Registry};
