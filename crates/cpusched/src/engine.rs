@@ -1,7 +1,7 @@
 //! The per-tick host scheduling engine.
 //!
-//! One [`Engine::tick`] models what Linux does over a 100 ms bandwidth
-//! period (the default `cpu.max` period):
+//! One [`Engine::tick_into`] models what Linux does over a 100 ms
+//! bandwidth period (the default `cpu.max` period):
 //!
 //! 1. **Hierarchical fair share** — node capacity (`nr_cpus × tick` µs of
 //!    CPU time) is distributed over the cgroup tree by weighted
@@ -99,9 +99,9 @@ impl CacheModel {
 }
 
 /// Reusable per-tick working memory. Every buffer here used to be a
-/// fresh allocation inside [`Engine::tick`]; at cluster scale (1,200
-/// hosts × 10 ticks × 300 periods) those dominated the replay profile,
-/// so the engine now owns one set and [`Engine::tick_into`] reuses it.
+/// fresh allocation inside each tick; at cluster scale (1,200 hosts ×
+/// 10 ticks × 300 periods) those dominated the replay profile, so the
+/// engine now owns one set and [`Engine::tick_into`] reuses it.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Pre-order DFS of the live tree.
@@ -122,6 +122,10 @@ struct Scratch {
     /// Every known thread with its allocation, DFS order.
     all_threads: Vec<(Tid, Micros)>,
     place: PlacementBuf,
+    /// Cache model: the VM-level groups whose activity it counts.
+    vm_groups: Vec<NodeIdx>,
+    /// Cache model: DFS stack of the subtree walk.
+    stack: Vec<NodeIdx>,
 }
 
 /// Host scheduling engine. See module docs.
@@ -194,23 +198,15 @@ impl Engine {
         self.placer.last_cpu(tid)
     }
 
-    /// Advance the host by one tick.
+    /// Advance the host by one tick into a caller-owned [`TickOutcome`].
     ///
     /// `demands` maps each thread to the CPU time it *wants* this tick
     /// (clamped to `tick`); absent threads are idle. Usage and throttling
-    /// are accounted into `tree`.
-    pub fn tick(&mut self, tree: &mut CgroupTree, demands: &FastMap<Tid, Micros>) -> TickOutcome {
-        let mut out = TickOutcome::default();
-        self.tick_into(tree, demands, &mut out);
-        out
-    }
-
-    /// [`Engine::tick`] into a caller-owned [`TickOutcome`], reusing the
-    /// engine's internal scratch buffers. Behaviour (allocations granted,
-    /// accounting, RNG draw sequence, outcome values) is identical to
-    /// [`Engine::tick`]; only the allocation profile differs — the
-    /// steady-state tick performs no heap allocation, which is what makes
-    /// the 1,200-node trace replay fast.
+    /// are accounted into `tree`. The outcome and the engine's scratch
+    /// buffers are reused, so a warm tick performs no heap allocation
+    /// (`crates/vmm/tests/host_tick_alloc.rs` pins this for a whole
+    /// `SimHost` tick), which is what makes the 1,200-node trace replay
+    /// fast.
     pub fn tick_into(
         &mut self,
         tree: &mut CgroupTree,
@@ -230,6 +226,8 @@ impl Engine {
             thread_alloc,
             all_threads,
             place,
+            vm_groups,
+            stack,
         } = &mut self.scratch;
 
         // ---- 1. demand-side caps, bottom-up -------------------------------
@@ -353,41 +351,21 @@ impl Engine {
         // actually ran this tick. VM scopes are marked in the tree (the
         // KVM layout marks its `machine-qemu…scope` groups); plain trees
         // without marks fall back to the children of the root.
-        let cache_multiplier =
-            match self.cache_model {
-                None => 1.0,
-                Some(model) => {
-                    let subtree_active =
-                        |top: NodeIdx| -> bool {
-                            let mut stack = vec![top];
-                            while let Some(idx) = stack.pop() {
-                                if tree.node(idx).threads.iter().any(|t| {
-                                    thread_alloc.get(t).map(|a| !a.is_zero()).unwrap_or(false)
-                                }) {
-                                    return true;
-                                }
-                                stack.extend(tree.children(idx));
-                            }
-                            false
-                        };
-                    let marked: Vec<NodeIdx> = dfs
-                        .iter()
-                        .copied()
-                        .filter(|&i| tree.node(i).vm_scope)
-                        .collect();
-                    let active_groups = if marked.is_empty() {
-                        tree.children(ROOT)
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    } else {
-                        marked
-                            .into_iter()
-                            .filter(|&top| subtree_active(top))
-                            .count()
-                    };
-                    model.multiplier(active_groups)
+        let cache_multiplier = match self.cache_model {
+            None => 1.0,
+            Some(model) => {
+                vm_groups.clear();
+                vm_groups.extend(dfs.iter().copied().filter(|&i| tree.node(i).vm_scope));
+                if vm_groups.is_empty() {
+                    vm_groups.extend(tree.children(ROOT));
                 }
-            };
+                let active_groups = vm_groups
+                    .iter()
+                    .filter(|&&top| subtree_active(tree, thread_alloc, stack, top))
+                    .count();
+                model.multiplier(active_groups)
+            }
+        };
 
         out.threads.clear();
         for e in place.entries.iter() {
@@ -435,6 +413,30 @@ impl Engine {
     }
 }
 
+/// Does any thread in the subtree under `top` hold CPU time this tick?
+/// `stack` is reusable scratch for the walk.
+fn subtree_active(
+    tree: &CgroupTree,
+    thread_alloc: &FastMap<Tid, Micros>,
+    stack: &mut Vec<NodeIdx>,
+    top: NodeIdx,
+) -> bool {
+    stack.clear();
+    stack.push(top);
+    while let Some(idx) = stack.pop() {
+        if tree
+            .node(idx)
+            .threads
+            .iter()
+            .any(|t| thread_alloc.get(t).is_some_and(|a| !a.is_zero()))
+        {
+            return true;
+        }
+        stack.extend(tree.children(idx));
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,6 +444,13 @@ mod tests {
     use vfc_cgroupfs::tree::ROOT;
 
     const TICK: Micros = Micros(100_000);
+
+    /// One tick into a fresh outcome.
+    fn tick(e: &mut Engine, tree: &mut CgroupTree, demands: &FastMap<Tid, Micros>) -> TickOutcome {
+        let mut out = TickOutcome::default();
+        e.tick_into(tree, demands, &mut out);
+        out
+    }
 
     fn engine(threads: u32) -> Engine {
         let spec = NodeSpec::custom("test", 1, threads, 1, MHz(2400));
@@ -484,7 +493,7 @@ mod tests {
         let mut e = engine(4);
         let (mut tree, tids) = build_tree(&[1]);
         let demands: FastMap<_, _> = [(tids[0][0], Micros(40_000))].into_iter().collect();
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.threads[&tids[0][0]].ran, Micros(40_000));
         // Performance governor at 2400: work = 40_000 µs × 2400 MHz.
         assert_eq!(out.threads[&tids[0][0]].work, Cycles(96_000_000));
@@ -498,7 +507,7 @@ mod tests {
         let mut e = engine(3); // 3 threads of capacity for 6 vCPUs
         let (mut tree, tids) = build_tree(&[2, 4]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let vm0: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         let vm1: Micros = tids[1].iter().map(|t| out.threads[t].ran).sum();
         // Equal shares per VM: 150k each out of 300k capacity.
@@ -527,7 +536,7 @@ mod tests {
         vms.extend_from_slice(&[4; 10]);
         let (mut tree, tids) = build_tree(&vms);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let singles: Micros = tids[..40]
             .iter()
             .flatten()
@@ -549,7 +558,7 @@ mod tests {
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         tree.node_mut(leaf).cpu_max = CpuMax::limited(Micros(25_000));
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.threads[&tids[0][0]].ran, Micros(25_000));
         // Throttle accounting happened.
         let stat = tree.node(leaf).cpu_stat;
@@ -565,7 +574,7 @@ mod tests {
         let scope = tree.resolve("/vm0").unwrap();
         tree.node_mut(scope).cpu_max = CpuMax::limited(Micros(50_000));
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let total: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros(50_000));
         // Fairly split between the two vCPUs.
@@ -577,7 +586,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
-        e.tick(&mut tree, &demands);
+        tick(&mut e, &mut tree, &demands);
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         assert_eq!(tree.node(leaf).cpu_stat.nr_periods, 0);
         assert_eq!(tree.node(leaf).cpu_stat.usage_usec, TICK);
@@ -589,7 +598,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[3, 2, 1]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let total: Micros = tids.iter().flatten().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros(200_000));
         assert!((out.utilization - 1.0).abs() < 1e-9);
@@ -600,7 +609,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[2]);
         let demands: FastMap<Tid, Micros> = tids[0].iter().map(|t| (*t, Micros::ZERO)).collect();
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.utilization, 0.0);
         let total: Micros = tids[0].iter().map(|t| out.threads[t].ran).sum();
         assert_eq!(total, Micros::ZERO);
@@ -614,7 +623,7 @@ mod tests {
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
         for _ in 0..5 {
-            e.tick(&mut tree, &demands);
+            tick(&mut e, &mut tree, &demands);
         }
         let leaf = tree.resolve("/vm0/vcpu0").unwrap();
         assert_eq!(tree.node(leaf).cpu_stat.usage_usec, Micros(500_000));
@@ -627,7 +636,7 @@ mod tests {
         let vm0 = tree.resolve("/vm0").unwrap();
         tree.node_mut(vm0).weight = 200; // double weight
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         let a = out.threads[&tids[0][0]].ran.as_u64() as f64;
         let b = out.threads[&tids[1][0]].ran.as_u64() as f64;
         // 2:1 within integer-µs dust.
@@ -669,7 +678,7 @@ mod tests {
         for cache in [false, true] {
             let mut e = make(cache);
             let (mut tree, tids) = build_tree(&[2]);
-            let out = e.tick(&mut tree, &full_demand(&tids));
+            let out = tick(&mut e, &mut tree, &full_demand(&tids));
             assert_eq!(
                 out.threads[&tids[0][0]].work,
                 Cycles(240_000_000),
@@ -680,7 +689,7 @@ mod tests {
         // Three co-running VMs: 2 × 2 % penalty.
         let mut e = make(true);
         let (mut tree, tids) = build_tree(&[1, 1, 1]);
-        let out = e.tick(&mut tree, &full_demand(&tids));
+        let out = tick(&mut e, &mut tree, &full_demand(&tids));
         let w = out.threads[&tids[0][0]].work.as_u64() as f64;
         let expected = 240_000_000.0 * 0.96;
         assert!(
@@ -754,7 +763,7 @@ mod tests {
                     groups.push((scope, *quota, tids, ds.clone()));
                 }
 
-                let out = engine.tick(&mut tree, &demands);
+                let out = tick(&mut engine, &mut tree, &demands);
                 let capacity = threads as u64 * TICK.as_u64();
 
                 // (1) Node capacity respected.
@@ -813,7 +822,7 @@ mod tests {
         let mut e = engine(2);
         let (mut tree, tids) = build_tree(&[1]);
         let demands = full_demand(&tids);
-        let out = e.tick(&mut tree, &demands);
+        let out = tick(&mut e, &mut tree, &demands);
         assert_eq!(out.mean_core_freq(), MHz(2400));
         let tid = tids[0][0];
         assert_eq!(e.thread_last_cpu(tid), Some(out.threads[&tid].last_cpu));

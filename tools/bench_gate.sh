@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Regression gate for the controller-loop benchmark.
 #
-# Re-runs crates/bench/benches/controller.rs with the vendored criterion
-# shim's JSON export and compares each bench's p50 against the budget_us
-# recorded in BENCH_controller.json. Budgets are ~4x the committed
-# after-p50, so the gate trips on order-of-magnitude regressions, not on
-# shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
+# Re-runs crates/bench/benches/controller.rs (plus the placement-index
+# and host-engine tick benches) with the vendored criterion shim's JSON
+# export and compares each bench's p50 against the budget_us recorded
+# in BENCH_controller.json; rows without a budget are not gated.
+# Budgets are ~4x the committed after-p50, so the gate trips on
+# order-of-magnitude regressions, not on shared-runner jitter. VFC_BENCH_GATE_SCALE (default 1.0) multiplies
 # every budget for unusually slow machines.
 #
 # In addition to the per-row budgets, the baseline's "sharding_gate"
@@ -47,6 +48,14 @@ VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
 VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
 VFC_BENCH_JSON="$OUT" \
   cargo bench -q -p vfc-placement --bench index
+
+# The host-engine tick rows (engine_tick/*) come from the scheduler
+# bench; only the rows with a budget in the baseline are gated (the
+# dense oversubscribed host, where per-tick core placement dominates).
+VFC_BENCH_WARMUP=${VFC_BENCH_WARMUP:-20} \
+VFC_BENCH_SAMPLES=${VFC_BENCH_SAMPLES:-120} \
+VFC_BENCH_JSON="$OUT" \
+  cargo bench -q -p vfc-bench --bench scheduler
 
 python3 - "$BASELINE" "$OUT" <<'EOF'
 import json, os, sys
